@@ -452,7 +452,9 @@ class ProgressReporter:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval = min_interval
         self.jobs = max(1, jobs)
-        self._last_emit = 0.0
+        # -inf, not 0.0: ``time.monotonic()`` may start near zero (it
+        # tracks uptime on Linux), and the first line must always emit.
+        self._last_emit = float("-inf")
         self._recent_walls: "deque[float]" = deque(maxlen=self.ETA_WINDOW)
 
     def _emit(self, text: str) -> None:

@@ -404,6 +404,21 @@ class TestProgressReporter:
         assert reporter.eta_seconds(5) is None
 
 
+class TestProgressReporterFreshHost:
+    def test_first_line_emits_on_a_freshly_booted_host(self, monkeypatch):
+        # time.monotonic() tracks uptime: one second after boot is well
+        # inside any min_interval measured from zero.
+        import io
+
+        from repro.engine import metrics as engine_metrics
+
+        monkeypatch.setattr(engine_metrics.time, "monotonic", lambda: 1.0)
+        stream = io.StringIO()
+        reporter = ProgressReporter(enabled=True, stream=stream, min_interval=3600.0)
+        reporter.update(1, 3, EngineMetrics())
+        assert "1/3 runs" in stream.getvalue()
+
+
 class TestInflightTracker:
     def test_lifecycle(self):
         tracker = live.InflightTracker()
