@@ -19,10 +19,15 @@ reference interleaved loop:
    sparse stall events and sparse mispredict redirects.
 
 Functional warming is the resolve phase alone with warm semantics
-(state updates without cache/TLB statistics).
+(state updates without cache/TLB statistics).  A sampled (SMARTS) run
+resolves once from its first unit to the end of the trace, warming and
+detailed segments alike, and then times each unit as its own row
+(:func:`run_sampled`).
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -152,23 +157,28 @@ def _branch_feed(trace, tag, start, end, mem_mask):
         bk = trace.branch_kinds()[start:end]
         if mem_mask is not None:
             bk = np.where(mem_mask, 0, bk)
-        cond_idx = np.flatnonzero(bk == BK_COND)
-        t_cond = trace.taken_bits()[start:end][cond_idx]
-        cr_idx = np.flatnonzero((bk == BK_CALL) | (bk == BK_RETURN))
-        cr_is_call = bk[cr_idx] == BK_CALL
-        unc_idx = np.flatnonzero(bk == BK_UNCOND)
-        return (
-            int(np.count_nonzero(bk)),
-            cond_idx,
-            t_cond,
-            trace.pc[start:end][cond_idx],
-            cr_idx,
-            cr_is_call,
-            cr_is_call.tolist(),
-            unc_idx,
-        )
+        return _build_branch_feed(trace, start, end, bk)
 
     return trace.region_memo((tag, start, end), build)
+
+
+def _build_branch_feed(trace, start, end, bk):
+    """Branch index sets over ``trace[start:end)`` given its branch kinds."""
+    cond_idx = np.flatnonzero(bk == BK_COND)
+    t_cond = trace.taken_bits()[start:end][cond_idx]
+    cr_idx = np.flatnonzero((bk == BK_CALL) | (bk == BK_RETURN))
+    cr_is_call = bk[cr_idx] == BK_CALL
+    unc_idx = np.flatnonzero(bk == BK_UNCOND)
+    return (
+        int(np.count_nonzero(bk)),
+        cond_idx,
+        t_cond,
+        trace.pc[start:end][cond_idx],
+        cr_idx,
+        cr_is_call,
+        cr_is_call.tolist(),
+        unc_idx,
+    )
 
 
 def _correct_mask(wrong_l, count) -> np.ndarray:
@@ -215,7 +225,8 @@ def _resolve_predictor(trace, tag, start, end, predictor, pc_cond, t_cond):
     event ``j`` is the previous ``W`` taken bits (plus the incoming
     register shifted in for the first ``W`` events).  The whole index
     feed is pure given the entry history, so it is memoized per
-    region; only the counter-table replay runs per call.
+    region (``tag`` None: not memoized); only the counter-table replay
+    runs per call.
     """
     kind = predictor.kind
     count = len(pc_cond)
@@ -248,9 +259,12 @@ def _resolve_predictor(trace, tag, start, end, predictor, pc_cond, t_cond):
         gs_index = (base_index ^ history[:count]) & mask
         return taken_l, base_index.tolist(), gs_index.tolist(), int(history[count])
 
-    taken_l, base_l, gs_l, h_final = trace.region_memo(
-        (tag, "pred", start, end, kind, mask, h0), build
-    )
+    if tag is None:
+        taken_l, base_l, gs_l, h_final = build()
+    else:
+        taken_l, base_l, gs_l, h_final = trace.region_memo(
+            (tag, "pred", start, end, kind, mask, h0), build
+        )
     if kind == PRED_BIMODAL:
         wrong_l = cond_counter_events(base_l, taken_l, predictor.bimodal)
         return _correct_mask(wrong_l, count)
@@ -263,6 +277,65 @@ def _resolve_predictor(trace, tag, start, end, predictor, pc_cond, t_cond):
         )
     predictor.state[0] = h_final
     return _correct_mask(wrong_l, count)
+
+
+def _resolve_branches(machine, trace, tag, start, end, feed) -> np.ndarray:
+    """Train predictor, RAS and BTB over one branch feed.
+
+    Returns the full-length mispredict mask of ``trace[start:end)``.
+    """
+    (
+        _n, cond_idx, t_cond, pc_cond, cr_idx, cr_is_call, cr_push_l, unc_idx,
+    ) = feed
+    pred_correct = _resolve_predictor(
+        trace, tag, start, end, machine.predictor, pc_cond, t_cond
+    )
+
+    ras = machine.ras
+    depth, overflow_delta, ret_correct_l = ras_events(
+        cr_push_l, int(ras.state[0]), ras.entries
+    )
+    ras.state[0] = depth
+    ras.state[1] += overflow_delta
+    call_idx = cr_idx[cr_is_call]
+    ret_idx = cr_idx[~cr_is_call]
+    ret_correct = _int64(ret_correct_l) != 0
+
+    taken_sel = pred_correct & (t_cond != 0)
+    cond_btb_idx = cond_idx[taken_sel]
+    n = end - start
+    bcorrect_full = _btb_resolve(
+        machine, n, trace.pc[start:end], trace.target[start:end],
+        cond_btb_idx, call_idx, unc_idx,
+    )
+    cond_correct = pred_correct.copy()
+    cond_correct[taken_sel] = bcorrect_full[cond_btb_idx]
+
+    wrong = np.zeros(n, dtype=bool)
+    wrong[cond_idx[~cond_correct]] = True
+    wrong[call_idx[~bcorrect_full[call_idx]]] = True
+    wrong[ret_idx[~ret_correct]] = True
+    wrong[unc_idx[~bcorrect_full[unc_idx]]] = True
+    return wrong
+
+
+def _resolve_l2(l2, pc_r, addr_r, il1_g, dl1_g):
+    """Replay L1 misses through the shared L2; per-miss L2-missness.
+
+    The L2 sees the il1 misses (instruction positions ``il1_g``) and
+    dl1 misses (``dl1_g``) merged in global instruction order, il1
+    (fetch) before dl1 (execute) within one instruction.  Returns the
+    L2-miss flags aligned with ``il1_g`` and with ``dl1_g``.
+    """
+    merge_keys = np.concatenate([il1_g * 2, dl1_g * 2 + 1])
+    order = np.argsort(merge_keys)
+    l2_blocks = (
+        np.concatenate([pc_r[il1_g], addr_r[dl1_g]]) >> l2.block_shift
+    )[order]
+    l2_miss = _structure_events(l2, l2_blocks)
+    missmask = np.zeros(len(l2_blocks), dtype=bool)
+    missmask[order[l2_miss]] = True
+    return missmask[: len(il1_g)], missmask[len(il1_g):]
 
 
 class RegionResolution:
@@ -363,37 +436,28 @@ def resolve_region(
         )
         dl1_miss = _int64(_replay(dl1, dl1_feed))
 
-        # L2 sees L1 misses merged in global instruction order, il1
-        # (fetch) before dl1 (execute) within one instruction.
         il1_g = fetch_idx[il1_miss]
         dl1_g = mem_idx[dl1_miss]
-        merge_keys = np.concatenate([il1_g * 2, dl1_g * 2 + 1])
-        order = np.argsort(merge_keys)
-        l2_blocks = (
-            np.concatenate([pc_r[il1_g], addr_r[dl1_g]]) >> l2.block_shift
-        )[order]
-        l2_miss = _structure_events(l2, l2_blocks)
-
+        il1_l2miss, dl1_l2miss = _resolve_l2(l2, pc_r, addr_r, il1_g, dl1_g)
         # Only hit-or-miss is resolved here; the fill *latency* of each
         # L2 miss is a per-config quantity applied during assembly.
-        n_merge = len(l2_blocks)
-        l2_missmask = np.zeros(n_merge, dtype=bool)
-        l2_missmask[l2_miss] = True
-        inverse = np.empty(n_merge, dtype=np.int64)
-        inverse[order] = np.arange(n_merge, dtype=np.int64)
         n_il1_miss = len(il1_g)
+        n_merge = n_il1_miss + len(dl1_g)
+        n_l2_miss = int(np.count_nonzero(il1_l2miss)) + int(
+            np.count_nonzero(dl1_l2miss)
+        )
         res.il1_miss = il1_miss
-        res.il1_l2miss = l2_missmask[inverse[:n_il1_miss]]
+        res.il1_l2miss = il1_l2miss
         res.dl1_miss = dl1_miss
-        res.dl1_l2miss = l2_missmask[inverse[n_il1_miss:]]
+        res.dl1_l2miss = dl1_l2miss
 
         il1.stats[STAT_HITS] += n_fetch - n_il1_miss
         il1.stats[STAT_MISSES] += n_il1_miss
         dl1.stats[STAT_HITS] += n_mem - len(dl1_g)
         dl1.stats[STAT_MISSES] += len(dl1_g)
-        l2.stats[STAT_HITS] += n_merge - len(l2_miss)
-        l2.stats[STAT_MISSES] += len(l2_miss)
-        l2.memory.stats[0] += len(l2_miss)
+        l2.stats[STAT_HITS] += n_merge - n_l2_miss
+        l2.stats[STAT_MISSES] += n_l2_miss
+        l2.memory.stats[0] += n_l2_miss
 
     # ---- TLBs (independent structures; no timing feedback)
     itlb_miss = _structure_events(itlb, pgs[itlb_pos])
@@ -429,64 +493,22 @@ def resolve_region(
     stall_pos = fetch_idx[stall_ev]
 
     # ---- branches: direction predictor, RAS, BTB
-    tg_r = trace.target[start:end]
-    (
-        n_branches, cond_idx, t_cond, pc_cond,
-        cr_idx, cr_is_call, cr_push_l, unc_idx,
-    ) = _branch_feed(trace, "branch", start, end, None)
-
-    pred_correct = _resolve_predictor(
-        trace, "branch", start, end, machine.predictor, pc_cond, t_cond
-    )
-
-    ras = machine.ras
-    depth, overflow_delta, ret_correct_l = ras_events(
-        cr_push_l, int(ras.state[0]), ras.entries
-    )
-    ras.state[0] = depth
-    ras.state[1] += overflow_delta
-    call_idx = cr_idx[cr_is_call]
-    ret_idx = cr_idx[~cr_is_call]
-    ret_correct = _int64(ret_correct_l) != 0
-
-    taken_sel = pred_correct & (t_cond != 0)
-    cond_btb_idx = cond_idx[taken_sel]
-    bcorrect_full = _btb_resolve(
-        machine, n, pc_r, tg_r, cond_btb_idx, call_idx, unc_idx
-    )
-    cond_correct = pred_correct.copy()
-    cond_correct[taken_sel] = bcorrect_full[cond_btb_idx]
-    call_correct = bcorrect_full[call_idx]
-    unc_correct = bcorrect_full[unc_idx]
+    feed = _branch_feed(trace, "branch", start, end, None)
+    redirect = _resolve_branches(machine, trace, "branch", start, end, feed)
 
     # ---- merged sparse events for the segmented timing loop: one
     # entry per instruction that stalls fetch and/or redirects it.
-    # Redirects are scattered straight into a full-length flag array
-    # (no sort needed); the union with the sorted stall positions
-    # falls out of a flatnonzero over the two scatter arrays.  The
-    # union is shared by every config; only the stall *values* are
-    # per-config, so ``stall_slot`` records where the stall events
-    # land inside the union for the assembly scatter.
-    redir_full = np.zeros(n, dtype=np.int64)
-    redir_full[cond_idx[~cond_correct]] = 1
-    redir_full[call_idx[~call_correct]] = 1
-    redir_full[ret_idx[~ret_correct]] = 1
-    redir_full[unc_idx[~unc_correct]] = 1
-    n_redir = int(np.count_nonzero(redir_full))
-    if len(stall_pos) or n_redir:
-        stall_flag = np.zeros(n, dtype=np.int64)
-        stall_flag[stall_pos] = 1
-        ev_pos = np.flatnonzero(stall_flag | redir_full)
-        res.ev_pos_l = ev_pos.tolist()
-        res.ev_redir = redir_full[ev_pos].tolist()
-        res.stall_slot = np.searchsorted(ev_pos, stall_pos)
-    else:
-        res.ev_pos_l = []
-        res.ev_redir = []
-        res.stall_slot = np.empty(0, dtype=np.int64)
+    # Redirects come as a full-length mask (no sort needed); the union
+    # with the sorted stall positions falls out of a flatnonzero after
+    # scattering the stalls into it.  The union is shared by every
+    # config; only the stall *values* are per-config, so
+    # ``stall_slot`` records where the stall events land inside the
+    # union for the assembly scatter.
+    n_redir = int(np.count_nonzero(redirect))
+    _set_event_union(res, n, stall_pos, redirect)
 
     # ---- counter deltas
-    res.n_branches = n_branches
+    res.n_branches = feed[0]
     res.n_redir = n_redir
     res.n_trivial = 0
     if count_trivial:
@@ -499,6 +521,22 @@ def resolve_region(
         res.last_fetch_block = None
         res.last_fetch_page = None
     return res
+
+
+def _set_event_union(res, n, stall_pos, redirect) -> None:
+    """Fill ``res``'s sparse event union from stall positions and a
+    full-length redirect mask over ``n`` instructions."""
+    if len(stall_pos) or redirect.any():
+        flag = redirect.copy()
+        flag[stall_pos] = True
+        ev_pos = np.flatnonzero(flag)
+        res.ev_pos_l = ev_pos.tolist()
+        res.ev_redir = redirect[ev_pos].astype(np.int64).tolist()
+        res.stall_slot = np.searchsorted(ev_pos, stall_pos)
+    else:
+        res.ev_pos_l = []
+        res.ev_redir = []
+        res.stall_slot = np.empty(0, dtype=np.int64)
 
 
 def assemble_timing_feed(machine, res: RegionResolution):
@@ -603,6 +641,25 @@ def _run_timing_phase(
     )
     if run_timing is None:
         run_timing = timing_loop_for(cfg)
+    _advance_timing(
+        run_timing, state, instr_l, ml_l, drain_l,
+        res.ev_pos_l, ev_stall, res.ev_redir,
+    )
+    state.branches += res.n_branches
+    state.mispredictions += res.n_redir
+    state.loads += res.n_loads
+    state.stores += res.n_mem - res.n_loads
+    if tc_enabled:
+        state.trivial_simplified += res.n_trivial
+    if res.last_fetch_block is not None:
+        state.last_fetch_block = res.last_fetch_block
+        state.last_fetch_page = res.last_fetch_page
+
+
+def _advance_timing(
+    run_timing, state, instr_l, ml_l, drain_l, ev_pos_l, ev_stall, ev_redir,
+) -> None:
+    """Run a timing loop over one slice; advance ``state``'s core timing."""
     (
         state.fc,
         state.fetch_count,
@@ -614,9 +671,9 @@ def _run_timing_phase(
         instr_l,
         ml_l,
         drain_l,
-        res.ev_pos_l,
+        ev_pos_l,
         ev_stall,
-        res.ev_redir,
+        ev_redir,
         state.reg_ready,
         state.rob_ring,
         state.lsq_ring,
@@ -633,18 +690,9 @@ def _run_timing_phase(
         state.mem_index,
         state.store_index,
     )
-    state.instr_index += res.n
-    state.mem_index += res.n_mem
-    state.store_index += res.n_mem - res.n_loads
-    state.branches += res.n_branches
-    state.mispredictions += res.n_redir
-    state.loads += res.n_loads
-    state.stores += res.n_mem - res.n_loads
-    if tc_enabled:
-        state.trivial_simplified += res.n_trivial
-    if res.last_fetch_block is not None:
-        state.last_fetch_block = res.last_fetch_block
-        state.last_fetch_page = res.last_fetch_page
+    state.instr_index += len(instr_l)
+    state.mem_index += len(ml_l)
+    state.store_index += len(drain_l)
 
 
 def advance_detailed(machine, trace, start, end, state) -> None:
@@ -707,6 +755,254 @@ def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
                 config, trace, start, end, enhancements.trivial_computation,
                 res, ml_l, drain_l, ev_stall, state, run_timing,
             )
+
+
+def run_sampled(machine, trace, units, checkpoint_key=None):
+    """A sampled (SMARTS) schedule in one structural pass.
+
+    Bit-identical to the per-segment loop of
+    :meth:`repro.cpu.kernels.registry.Backend.run_sampled` (functional
+    warming between the units, a fresh ``detail()`` per unit): the cold
+    prefix up to the first unit still goes through
+    :func:`repro.cpu.functional.warm_prefix`, and every structure is
+    then resolved once from there to the end of the trace under the
+    per-segment rules (see :func:`_resolve_sampled`).  Each unit's
+    warm-detailed and measured slices then run the config's timing loop
+    on a fresh timing state, one row per unit; per-unit counters come
+    from ``searchsorted`` offsets into the one resolution.  Records one
+    ``warming``, one ``warm_detailed`` and one ``detailed`` phase per
+    pass, each with its summed instruction count.
+    """
+    from repro.cpu.functional import WarmingStats, warm_prefix
+    from repro.cpu.pipeline import _TimingState
+    from repro.cpu.stats import SimulationStats
+
+    backend = machine.backend.name
+    warming = WarmingStats()
+    start = units[0][0]
+    if start > 0:
+        warming.merge(
+            warm_prefix(machine, trace, start, checkpoint_key=checkpoint_key)
+        )
+    end = len(trace)
+    ws, ss, an = (_int64(units) - start).T
+    n_warm = (end - start) - int((an - ws).sum())
+    tc_enabled = machine.enhancements.trivial_computation
+
+    with obs_phases.measured("warming", instructions=n_warm, backend=backend):
+        res, mem_pos, counters, gaps = _resolve_sampled(
+            machine, trace, start, end, ws, ss, an
+        )
+        warming.merge(gaps)
+        ml_l, drain_l, ev_stall = assemble_timing_feed(machine, res)
+
+    cfg = machine.config
+    run_timing = timing_loop_for(cfg)
+    merge_ctrl = cfg.int_alu_lat == 1
+    stores = mem_pos[~res.is_load]
+    ev_pos = _int64(res.ev_pos_l)
+
+    def offsets(bounds):
+        """Per-unit ``bounds`` and their offsets into the memory-latency,
+        store-drain and event streams."""
+        return list(zip(
+            bounds.tolist(),
+            np.searchsorted(mem_pos, bounds).tolist(),
+            np.searchsorted(stores, bounds).tolist(),
+            np.searchsorted(ev_pos, bounds).tolist(),
+        ))
+
+    def advance(state, lo, hi):
+        # Rows are built per slice: the units of a dense schedule can
+        # cover most of the trace, and their rows all at once would
+        # dominate peak memory.
+        (s0, m0, d0, e0), (s1, m1, d1, e1) = lo, hi
+        rows = trace.timing_rows(tc_enabled, merge_ctrl, start + s0, start + s1)
+        _advance_timing(
+            run_timing, state, rows, ml_l[m0:m1], drain_l[d0:d1],
+            [p - s0 for p in res.ev_pos_l[e0:e1]],
+            ev_stall[e0:e1], res.ev_redir[e0:e1],
+        )
+
+    # One timing state at a time: each unit runs its warm-detailed then
+    # its measured slice, and the two phases' times are summed across
+    # units and recorded once each.
+    parts = []
+    warm_s = 0.0
+    started = time.monotonic()
+    for i, (lo, mid, hi) in enumerate(zip(offsets(ws), offsets(ss), offsets(an))):
+        state = _TimingState(machine)
+        sliced = time.monotonic()
+        advance(state, lo, mid)
+        warm_s += time.monotonic() - sliced
+        cycles_before = state.cc
+        advance(state, mid, hi)
+        stats = SimulationStats(**{f: column[i] for f, column in counters.items()})
+        stats.instructions = hi[0] - mid[0]
+        stats.cycles = max(1, state.cc - cycles_before)
+        parts.append(stats)
+    timing_s = time.monotonic() - started
+    n_warm_detailed = int((ss - ws).sum())
+    if n_warm_detailed:
+        obs_phases.record_span(
+            "warm_detailed", started, warm_s, n_warm_detailed, backend=backend
+        )
+    obs_phases.record_span(
+        "detailed", started + warm_s, timing_s - warm_s,
+        int((an - ss).sum()), backend=backend,
+    )
+    return parts, warming
+
+
+def _resolve_sampled(machine, trace, start, end, ws, ss, an):
+    """Resolve every structure over ``trace[start:end)`` for a schedule.
+
+    ``ws``/``ss``/``an`` are the region-relative unit bounds: ``[ws,
+    an)`` runs detailed and is measured from ``ss``, the gaps between
+    units warm functionally.  Honours the per-segment rules exactly:
+
+    * every segment (a warming gap or a unit) starts with a forced
+      fetch and ITLB event, since warming calls and each ``detail()``
+      start from "no previous fetch block";
+    * inside warming gaps memory ops are never branches;
+    * cache/TLB statistics and L2 memory counts advance only inside
+      units.
+
+    Returns the timing-facing :class:`RegionResolution` (events
+    restricted to the units), the memory ops' region-relative
+    positions, each unit's measured-slice counters as SimulationStats
+    field -> per-unit list, and the gaps' WarmingStats.
+    """
+    from repro.cpu.functional import WarmingStats
+
+    il1 = machine.il1
+    dl1 = machine.dl1
+    l2 = machine.l2
+    itlb = machine.itlb
+    dtlb = machine.dtlb
+    n = end - start
+    # Toggle at every unit start and end; a unit starting where the
+    # previous one ends toggles twice and stays detailed.
+    toggles = np.zeros(n + 1, dtype=bool)
+    toggles[ws] = True
+    toggles[an] ^= True
+    in_detail = np.logical_xor.accumulate(toggles[:n])
+    seg_starts = np.union1d(ws, an[an < n])
+
+    pc_r = trace.pc[start:end]
+    addr_r = trace.addr[start:end]
+    # The whole-trace memory feed, shared with full-trace runs.
+    mem_mask, mem_idx, is_load, _ = _mem_feed(trace, 0, end)
+    first_mem = int(np.searchsorted(mem_idx, start))
+    mem_mask = mem_mask[start:]
+    mem_idx = mem_idx[first_mem:] - start
+    is_load = is_load[first_mem:]
+
+    fb = trace.fetch_blocks(il1.block_shift)[start:end]
+    fetch_mask = _change_mask(fb, -1)
+    fetch_mask[seg_starts] = True
+    fetch_idx = np.flatnonzero(fetch_mask)
+    pgs = trace.pages()[start:end][fetch_idx]
+    page_mask = _change_mask(pgs, -1)
+    page_mask[np.searchsorted(fetch_idx, seg_starts)] = True
+    itlb_pos = np.flatnonzero(page_mask)
+
+    il1_miss = _structure_events(il1, fb[fetch_idx])
+    dl1_miss = _structure_events(
+        dl1, trace.data_blocks(dl1.block_shift)[start:end][mem_idx]
+    )
+    il1_g = fetch_idx[il1_miss]
+    dl1_g = mem_idx[dl1_miss]
+    il1_l2miss, dl1_l2miss = _resolve_l2(l2, pc_r, addr_r, il1_g, dl1_g)
+    itlb_miss = _structure_events(itlb, pgs[itlb_pos])
+    dtlb_miss = _structure_events(
+        dtlb, trace.data_pages()[start:end][mem_idx]
+    )
+
+    bk = trace.branch_kinds()[start:end].astype(np.int8)
+    bk[mem_mask & ~in_detail] = 0
+    feed = _build_branch_feed(trace, start, end, bk)
+    wrong = _resolve_branches(machine, trace, None, start, end, feed)
+
+    # Sorted region-relative positions of every counted event, keyed by
+    # the SimulationStats field that counts them (plus the ITLB lookups).
+    pos = {
+        "il1_accesses": fetch_idx,
+        "il1_misses": np.sort(il1_g),
+        "dl1_accesses": mem_idx,
+        "dl1_misses": np.sort(dl1_g),
+        "l2_accesses": np.sort(np.concatenate([il1_g, dl1_g])),
+        "l2_misses": np.sort(
+            np.concatenate([il1_g[il1_l2miss], dl1_g[dl1_l2miss]])
+        ),
+        "itlb_accesses": fetch_idx[itlb_pos],
+        "itlb_misses": np.sort(fetch_idx[itlb_pos[itlb_miss]]),
+        "dtlb_misses": np.sort(mem_idx[dtlb_miss]),
+        "loads": mem_idx[is_load],
+        "branches": np.flatnonzero(bk),
+        "mispredictions": np.flatnonzero(wrong),
+    }
+    if machine.enhancements.trivial_computation:
+        pos["trivial_simplified"] = np.flatnonzero(
+            (trace.trivial_bits()[start:end] != 0) & ~mem_mask
+        )
+
+    def in_units(name):
+        return int(np.count_nonzero(in_detail[pos[name]]))
+
+    def in_gaps(name):
+        return len(pos[name]) - in_units(name)
+
+    for structure, accesses, misses in (
+        (il1, "il1_accesses", "il1_misses"),
+        (dl1, "dl1_accesses", "dl1_misses"),
+        (l2, "l2_accesses", "l2_misses"),
+        (itlb, "itlb_accesses", "itlb_misses"),
+        (dtlb, "dl1_accesses", "dtlb_misses"),
+    ):
+        n_misses = in_units(misses)
+        structure.stats[STAT_HITS] += in_units(accesses) - n_misses
+        structure.stats[STAT_MISSES] += n_misses
+    l2.memory.stats[0] += in_units("l2_misses")
+    gaps = WarmingStats(
+        instructions=n - int(np.count_nonzero(in_detail)),
+        branches=in_gaps("branches"),
+        mispredictions=in_gaps("mispredictions"),
+        loads=in_gaps("loads"),
+        stores=in_gaps("dl1_accesses") - in_gaps("loads"),
+    )
+    del pos["itlb_accesses"]
+    counters = {
+        name: (np.searchsorted(events, an) - np.searchsorted(events, ss)).tolist()
+        for name, events in pos.items()
+    }
+    counters["stores"] = [
+        mem - load
+        for mem, load in zip(counters["dl1_accesses"], counters["loads"])
+    ]
+
+    # Timing events: fetch stalls (il1 miss fill or ITLB walk) and
+    # redirects, inside the units only.
+    stall_sel = np.zeros(len(fetch_idx), dtype=bool)
+    stall_sel[il1_miss] = True
+    stall_sel[itlb_pos[itlb_miss]] = True
+    stall_sel &= in_detail[fetch_idx]
+    res = RegionResolution()
+    res.n_mem = len(mem_idx)
+    res.is_load = is_load
+    res.fetch_idx = fetch_idx
+    res.il1_miss = il1_miss
+    res.il1_l2miss = il1_l2miss
+    res.itlb_pos = itlb_pos
+    res.itlb_miss = itlb_miss
+    res.dl1_miss = dl1_miss
+    res.dl1_l2miss = dl1_l2miss
+    res.dtlb_miss = dtlb_miss
+    res.stall_cache = None
+    res.dl1_lat_ev = None
+    res.stall_ev = np.flatnonzero(stall_sel)
+    _set_event_union(res, n, fetch_idx[res.stall_ev], wrong & in_detail)
+    return res, mem_idx, counters, gaps
 
 
 def _resolve_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx):
@@ -821,14 +1117,7 @@ def run_warming(machine, trace, start, end):
         )
         dl1_miss = _int64(_replay(dl1, dl1_feed))
 
-        il1_g = fetch_idx[il1_miss]
-        dl1_g = mem_idx[dl1_miss]
-        merge_keys = np.concatenate([il1_g * 2, dl1_g * 2 + 1])
-        order = np.argsort(merge_keys)
-        l2_blocks = (
-            np.concatenate([pc_r[il1_g], addr_r[dl1_g]]) >> l2.block_shift
-        )[order]
-        _structure_events(l2, l2_blocks)
+        _resolve_l2(l2, pc_r, addr_r, fetch_idx[il1_miss], mem_idx[dl1_miss])
 
     # TLB warming trains state without statistics.
     _structure_events(machine.itlb, pgs[itlb_pos])
@@ -841,44 +1130,13 @@ def run_warming(machine, trace, start, end):
 
     # Branches: warming skips memory ops entirely (they cannot carry
     # branch work in the reference loop's control flow).
-    tg_r = trace.target[start:end]
-    (
-        n_branches, cond_idx, t_cond, pc_cond,
-        cr_idx, cr_is_call, cr_push_l, unc_idx,
-    ) = _branch_feed(trace, "branchw", start, end, mem_mask)
-
-    pred_correct = _resolve_predictor(
-        trace, "branchw", start, end, machine.predictor, pc_cond, t_cond
-    )
-
-    ras = machine.ras
-    depth, overflow_delta, ret_correct_l = ras_events(
-        cr_push_l, int(ras.state[0]), ras.entries
-    )
-    ras.state[0] = depth
-    ras.state[1] += overflow_delta
-    call_idx = cr_idx[cr_is_call]
-    ret_correct = _int64(ret_correct_l) != 0
-
-    taken_sel = pred_correct & (t_cond != 0)
-    cond_btb_idx = cond_idx[taken_sel]
-    bcorrect_full = _btb_resolve(
-        machine, n, pc_r, tg_r, cond_btb_idx, call_idx, unc_idx
-    )
-    cond_correct = pred_correct.copy()
-    cond_correct[taken_sel] = bcorrect_full[cond_btb_idx]
-
-    mispredictions = (
-        int(np.count_nonzero(~cond_correct))
-        + int(np.count_nonzero(~bcorrect_full[call_idx]))
-        + int(np.count_nonzero(~ret_correct))
-        + int(np.count_nonzero(~bcorrect_full[unc_idx]))
-    )
+    feed = _branch_feed(trace, "branchw", start, end, mem_mask)
+    wrong = _resolve_branches(machine, trace, "branchw", start, end, feed)
     n_mem = len(mem_idx)
     return WarmingStats(
         instructions=n,
-        branches=n_branches,
-        mispredictions=mispredictions,
+        branches=feed[0],
+        mispredictions=int(np.count_nonzero(wrong)),
         loads=n_loads,
         stores=n_mem - n_loads,
     )

@@ -150,6 +150,56 @@ class Backend:
         """Functionally warm ``trace[start:end)``; returns WarmingStats."""
         raise NotImplementedError
 
+    def run_sampled(self, machine, trace, units, checkpoint_key=None):
+        """Run a sampled schedule over the whole trace on ``machine``.
+
+        ``units`` lists ``(warm_start, sample_start, anchor)`` in trace
+        order: ``[warm_start, anchor)`` is simulated in detail on a
+        fresh timing state and measured from ``sample_start``; every
+        gap between units (and the tail) is functionally warmed, the
+        cold prefix checkpoint-assisted.  Returns the per-unit measured
+        statistics and the summed WarmingStats of the warming segments.
+
+        This default is the per-segment reference loop: one warming
+        call per gap and one ``run_detailed`` per unit.  Backends may
+        override it with anything bit-identical to it.
+        """
+        from repro.cpu.functional import (
+            WarmingStats,
+            run_functional_warming,
+            warm_prefix,
+        )
+        from repro.cpu.pipeline import run_detailed
+
+        warming = WarmingStats()
+        parts = []
+        position = 0
+        for warm_start, sample_start, anchor in units:
+            if warm_start > position:
+                if position == 0:
+                    # Cold prefix: checkpoint-assisted (bit-identical).
+                    warming.merge(
+                        warm_prefix(
+                            machine, trace, warm_start,
+                            checkpoint_key=checkpoint_key,
+                        )
+                    )
+                else:
+                    warming.merge(
+                        run_functional_warming(machine, trace, position, warm_start)
+                    )
+            parts.append(
+                run_detailed(
+                    machine, trace, warm_start, anchor, measure_from=sample_start
+                )
+            )
+            position = anchor
+        if position < len(trace):
+            warming.merge(
+                run_functional_warming(machine, trace, position, len(trace))
+            )
+        return parts, warming
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Backend {self.name}>"
 
@@ -224,6 +274,19 @@ class NumpyBackend(Backend):
             return run_warming(machine, trace, start, end)
         except Exception as exc:
             raise KernelError(self.name, f"warming kernel failed: {exc!r}") from exc
+
+    def run_sampled(self, machine, trace, units, checkpoint_key=None):
+        # Next-line prefetch resolves its caches serially, so it keeps
+        # the per-segment loop; everything else is one structural pass.
+        if not units or machine.enhancements.next_line_prefetch:
+            return super().run_sampled(machine, trace, units, checkpoint_key)
+        try:
+            _kernel_guard_check(self.name)
+            from repro.cpu.kernels.numpy_impl import run_sampled
+
+            return run_sampled(machine, trace, units, checkpoint_key)
+        except Exception as exc:
+            raise KernelError(self.name, f"sampled kernel failed: {exc!r}") from exc
 
 
 class NumbaBackend(Backend):

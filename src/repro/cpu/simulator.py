@@ -10,7 +10,7 @@ each mode so the speed-versus-accuracy analysis can cost it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cpu import checkpoint, functional
 from repro.cpu.config import Enhancements, ProcessorConfig
@@ -22,6 +22,18 @@ from repro.cpu.pipeline import run_detailed, run_detailed_batch
 from repro.cpu.stats import SimulationStats
 from repro.isa.trace import Trace
 from repro.obs import phases as obs_phases
+
+
+@dataclass
+class SampledRun:
+    """What one :meth:`Simulator.run_sampled` pass observed."""
+
+    #: Measured statistics of each sampling unit, in schedule order.
+    units: List[SimulationStats]
+    #: Event counts summed over the functional-warming segments.
+    warming: functional.WarmingStats
+    #: Whole-pass change of every :meth:`Machine.cache_snapshot` counter.
+    cache_delta: Dict[str, int]
 
 
 @dataclass
@@ -313,20 +325,31 @@ class Simulator:
         """Functionally warm ``[start, end)``; returns WarmingStats."""
         return run_functional_warming(machine, trace, start, end)
 
-    def warm_prefix(
+    def run_sampled(
         self,
         machine: Machine,
         trace: Trace,
-        end: int,
+        units: Sequence[Tuple[int, int, int]],
         checkpoint_key: Optional[str] = None,
-    ):
-        """Warm ``[0, end)`` on a cold machine, checkpoint-assisted.
+    ) -> SampledRun:
+        """Run a sampled schedule over the whole trace on a cold machine.
 
-        Only sound when ``machine`` is cold (fresh): checkpoints
-        snapshot the state of warming from trace position 0.
+        ``units`` lists ``(warm_start, sample_start, anchor)`` in trace
+        order: each unit is a fresh ``detail()`` of ``[warm_start,
+        anchor)`` measured from ``sample_start``, and every gap around
+        the units is functionally warmed (the cold prefix
+        checkpoint-assisted, by :func:`functional.warm_prefix`).  Every backend
+        returns statistics bit-identical to that per-segment loop.
         """
-        return functional.warm_prefix(
-            machine, trace, end, checkpoint_key=checkpoint_key
+        before = machine.cache_snapshot()
+        parts, warming = machine.backend.run_sampled(
+            machine, trace, units, checkpoint_key
+        )
+        after = machine.cache_snapshot()
+        return SampledRun(
+            units=parts,
+            warming=warming,
+            cache_delta={key: after[key] - before[key] for key in after},
         )
 
     def detail(

@@ -63,6 +63,8 @@ import hashlib
 import multiprocessing
 import os
 import signal
+import sys
+import threading
 import time
 from collections import deque
 from concurrent.futures import (
@@ -325,11 +327,50 @@ _worker_events = None
 _worker_generation = 0
 
 
+#: How often a pool worker checks that its supervisor is still alive.
+_ORPHAN_POLL_S = 1.0
+
+#: ``prctl`` option: signal this process when its parent dies (Linux).
+_PR_SET_PDEATHSIG = 1
+
+
+def _exit_with_supervisor() -> None:
+    """Make this pool worker exit when the supervisor that forked it dies.
+
+    A SIGKILLed supervisor cannot shut its pool down, and its idle
+    workers would otherwise be reparented to init and block on the call
+    queue forever.  On Linux the kernel delivers SIGKILL on parent death
+    (``PR_SET_PDEATHSIG``); a daemon thread watching ``os.getppid()``
+    covers every platform, and a supervisor that died before the
+    ``prctl`` took effect.
+    """
+    supervisor = os.getppid()
+    if sys.platform.startswith("linux"):
+        try:
+            import ctypes
+
+            prctl = ctypes.CDLL(None, use_errno=True).prctl
+            prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+            prctl.restype = ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+        except (OSError, AttributeError):
+            pass  # the watcher thread below still covers this worker
+
+    def watch() -> None:
+        while os.getppid() == supervisor:
+            time.sleep(_ORPHAN_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="supervisor-watch", daemon=True).start()
+
+
 def _pool_init(event_queue, generation: int) -> None:
     """Pool initializer: report this worker's PID to the parent (the
-    watchdog kills by these PIDs rather than executor internals) and
-    stash the event queue for :func:`_worker`."""
+    watchdog kills by these PIDs rather than executor internals), stash
+    the event queue for :func:`_worker`, and tie this worker's life to
+    the supervisor's."""
     global _worker_events, _worker_generation
+    _exit_with_supervisor()
     _worker_events = event_queue
     _worker_generation = generation
     # A forked worker inherits the parent's in-flight counter state;

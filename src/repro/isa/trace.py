@@ -43,6 +43,28 @@ _COLUMN_NAMES = (
 )
 
 
+#: Byte budget of a trace's region memo, per trace instruction.  One
+#: whole-trace artifact set (cache, TLB and branch feeds) holds a few
+#: hundred bytes per instruction, so long-region artifacts stay only
+#: while they keep being reused, and short-region ones by the hundred.
+#: A byte bound keeps a worker's memory flat however many long regions
+#: its runs visit.
+REGION_MEMO_BYTES_PER_INSTRUCTION = 64
+
+
+def _footprint(value) -> int:
+    """Rough bytes held by a memoized region artifact: arrays at their
+    size, list elements at 32 bytes (an int object plus its slot),
+    tuples as the sum of their parts."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if isinstance(value, tuple):
+        return sum(_footprint(part) for part in value)
+    if isinstance(value, list):
+        return 32 * len(value)
+    return 0
+
+
 @dataclass
 class Trace:
     """A dynamic instruction stream.
@@ -65,6 +87,7 @@ class Trace:
     num_blocks: int = 0
     _list_cache: dict = field(default_factory=dict, repr=False)
     _region_cache: dict = field(default_factory=dict, repr=False)
+    _region_bytes: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         length = len(self.op)
@@ -110,17 +133,23 @@ class Trace:
         (across configurations, warm-up/measure splits and repeated
         runs), so these are cached here rather than recomputed.
         ``key`` must fully determine the artifact: region bounds plus
-        any structure geometry it depends on.  The cache is bounded;
-        the oldest entry is evicted past 256 keys.
+        any structure geometry it depends on.  The cache is bounded by
+        :data:`REGION_MEMO_BYTES_PER_INSTRUCTION` times the trace length
+        (artifact sizes estimated by :func:`_footprint`) and by 256
+        keys, evicting the least recently used entry first.
         """
         cache = self._region_cache
-        value = cache.get(key)
-        if value is None:
+        entry = cache.pop(key, None)
+        if entry is None:
             value = build()
-            if len(cache) >= 256:
-                del cache[next(iter(cache))]
-            cache[key] = value
-        return value
+            entry = (value, _footprint(value))
+            self._region_bytes += entry[1]
+            budget = REGION_MEMO_BYTES_PER_INSTRUCTION * len(self)
+            while cache and (self._region_bytes > budget or len(cache) >= 256):
+                _, size = cache.pop(next(iter(cache)))
+                self._region_bytes -= size
+        cache[key] = entry
+        return entry[0]
 
     # -- derived columns for the kernel backends -------------------------------
 
@@ -261,19 +290,22 @@ class Trace:
             if (end - start) * 8 < len(self):
                 return self.region_memo(
                     key + (start, end),
-                    lambda: self._timing_rows(
+                    lambda: self.timing_rows(
                         trivial_enabled, merge_ctrl, start, end
                     ),
                 )
-            full = self._timing_rows(trivial_enabled, merge_ctrl, 0, len(self))
+            full = self.timing_rows(trivial_enabled, merge_ctrl, 0, len(self))
             self._list_cache[key] = full
         if start == 0 and end == len(self):
             return full
-        return self.region_memo(key + (start, end), lambda: full[start:end])
+        # A slice of the cached list is a pointer copy: cheap to redo,
+        # and memoizing it would pin a second reference list per region.
+        return full[start:end]
 
-    def _timing_rows(
+    def timing_rows(
         self, trivial_enabled: bool, merge_ctrl: bool, start: int, end: int
     ) -> List[Tuple[int, int, int, int]]:
+        """Uncached :meth:`timing_lists` rows over ``[start, end)``."""
         from repro.isa.instructions import NUM_REGS
 
         op = self.op[start:end].astype(np.int64)

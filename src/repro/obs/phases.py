@@ -107,6 +107,24 @@ def _notify(notifier: Callable[..., None], phase: str, attrs: dict) -> None:
         pass
 
 
+def record_span(
+    phase: str, start: float, seconds: float, instructions: int = 0,
+    **attrs: object,
+) -> None:
+    """Ledger entry plus trace span for a phase timed by the caller.
+
+    For work whose phases interleave at a finer grain than one
+    :func:`measured` block each (a sampled pass alternates warm-detailed
+    and measured slices unit by unit): the caller sums each phase's
+    slices and records the phase once, as a span of the summed
+    ``seconds`` starting at ``start`` (a ``time.monotonic()`` value).
+    """
+    if instructions:
+        attrs["instructions"] = instructions
+    trace.emit_span(phase, start, seconds, **attrs)
+    record(phase, seconds, instructions)
+
+
 @contextmanager
 def measured(phase: str, instructions: int = 0, **attrs: object) -> Iterator[None]:
     """Time a block as ``phase``: ledger entry + trace span + notifier."""

@@ -216,6 +216,30 @@ class SmartsTechnique(SimulationTechnique):
         stats.dtlb_misses = delta.get("dtlb_misses", 0)
         stats.prefetches = delta.get("prefetches", 0)
 
+    @staticmethod
+    def schedule(
+        trace_length: int, n: int, u: int, w: int
+    ) -> List[Tuple[int, int, int]]:
+        """The ``(warm_start, sample_start, anchor)`` of each sampling unit.
+
+        Unit ``i`` ends at the anchor ``(i + 1) * trace_length / n``,
+        measures the U instructions before it and warms up in detail
+        for the W before those; units never overlap, so one that would
+        reach back past the previous anchor is clipped, and one with no
+        room left is dropped.
+        """
+        spacing = trace_length / n
+        units: List[Tuple[int, int, int]] = []
+        position = 0
+        for i in range(n):
+            anchor = min(int(round((i + 1) * spacing)), trace_length)
+            sample_start = max(position, anchor - u)
+            warm_start = max(position, sample_start - w)
+            if sample_start < anchor:
+                units.append((warm_start, sample_start, anchor))
+                position = anchor
+        return units
+
     def _one_run(
         self,
         simulator: Simulator,
@@ -226,78 +250,20 @@ class SmartsTechnique(SimulationTechnique):
         checkpoint_key: Optional[str] = None,
     ) -> _RunOutcome:
         """One full pass: functional warming with n embedded samples."""
-        trace_length = len(trace)
-        spacing = trace_length / n
-        machine = simulator.new_machine()
-        snapshot_before = machine.cache_snapshot()
-        parts: List[SimulationStats] = []
-        regions: List[Tuple[int, int]] = []
-        detailed = 0
-        warm_detailed = 0
-        functional = 0
-        branches = 0
-        mispredictions = 0
-        loads = 0
-        stores = 0
-        position = 0
-        for i in range(n):
-            # The sampling unit ends at the anchor point; detailed
-            # warm-up precedes it.
-            anchor = int(round((i + 1) * spacing))
-            anchor = min(anchor, trace_length)
-            sample_start = max(position, anchor - u)
-            warm_start = max(position, sample_start - w)
-            if sample_start <= position and position >= trace_length:
-                break
-            if warm_start > position:
-                if position == 0:
-                    # Cold prefix: checkpoint-assisted (bit-identical).
-                    warming = simulator.warm_prefix(
-                        machine, trace, warm_start, checkpoint_key=checkpoint_key
-                    )
-                else:
-                    warming = simulator.warm(machine, trace, position, warm_start)
-                functional += warming.instructions
-                branches += warming.branches
-                mispredictions += warming.mispredictions
-                loads += warming.loads
-                stores += warming.stores
-            if sample_start >= anchor:
-                position = max(position, anchor)
-                continue
-            stats = simulator.detail(
-                machine, trace, warm_start, anchor, measure_from=sample_start
-            )
-            parts.append(stats)
-            regions.append((sample_start, anchor))
-            detailed += anchor - sample_start
-            warm_detailed += sample_start - warm_start
-            branches += stats.branches
-            mispredictions += stats.mispredictions
-            loads += stats.loads
-            stores += stats.stores
-            position = anchor
-        if position < trace_length:
-            warming = simulator.warm(machine, trace, position, trace_length)
-            functional += warming.instructions
-            branches += warming.branches
-            mispredictions += warming.mispredictions
-            loads += warming.loads
-            stores += warming.stores
-        snapshot_after = machine.cache_snapshot()
-        cache_delta = {
-            key: snapshot_after[key] - snapshot_before[key]
-            for key in snapshot_after
-        }
+        units = self.schedule(len(trace), n, u, w)
+        run = simulator.run_sampled(
+            simulator.new_machine(), trace, units, checkpoint_key=checkpoint_key
+        )
+        measured = [run.warming] + run.units
         return _RunOutcome(
-            parts=parts,
-            regions=regions,
-            detailed=detailed,
-            warm_detailed=warm_detailed,
-            functional=functional,
-            branches=branches,
-            mispredictions=mispredictions,
-            loads=loads,
-            stores=stores,
-            cache_delta=cache_delta,
+            parts=run.units,
+            regions=[(sample_start, anchor) for _, sample_start, anchor in units],
+            detailed=sum(anchor - sample for _, sample, anchor in units),
+            warm_detailed=sum(sample - warm for warm, sample, _ in units),
+            functional=run.warming.instructions,
+            branches=sum(part.branches for part in measured),
+            mispredictions=sum(part.mispredictions for part in measured),
+            loads=sum(part.loads for part in measured),
+            stores=sum(part.stores for part in measured),
+            cache_delta=run.cache_delta,
         )

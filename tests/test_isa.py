@@ -15,6 +15,7 @@ from repro.isa.instructions import (
 from repro.isa.trace import (
     FLAG_COND_BRANCH,
     FLAG_TAKEN,
+    REGION_MEMO_BYTES_PER_INSTRUCTION,
     Trace,
     TraceBuilder,
     iterate_flags,
@@ -145,6 +146,28 @@ class TestTrace:
     def test_interval_bbvs_invalid(self):
         with pytest.raises(ValueError):
             _tiny_trace(4).interval_bbvs(0)
+
+
+class TestRegionMemo:
+    def test_hit_returns_memoized_artifact(self):
+        trace = _tiny_trace(100)
+        first = trace.region_memo(("k", 0, 10), lambda: np.arange(3))
+        assert trace.region_memo(("k", 0, 10), lambda: None) is first
+
+    def test_byte_budget_evicts_least_recently_used(self):
+        trace = _tiny_trace(100)
+        budget = REGION_MEMO_BYTES_PER_INSTRUCTION * len(trace)
+        third = budget // 3 // 8  # int64 elements per artifact
+        for name in ("a", "b", "c"):
+            trace.region_memo((name,), lambda: np.zeros(third, dtype=np.int64))
+        trace.region_memo(("a",), lambda: None)  # a is now the most recent
+        trace.region_memo(("d",), lambda: np.zeros(third, dtype=np.int64))
+        built = []
+        for name in ("a", "b", "c", "d"):
+            trace.region_memo((name,), lambda: built.append(name))
+        # b, the least recently used, made room for d.
+        assert built == ["b"]
+        assert trace._region_bytes <= budget
 
 
 class TestTraceBuilder:

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -236,6 +237,28 @@ print(json.dumps([sorted(r.stats.counters().items()) for r in results]))
 '''
 
 
+def _children(pid):
+    """PIDs of ``pid``'s child processes (Linux ``/proc``; none elsewhere)."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 @pytest.mark.slow
 class TestSigkillResume:
     """The acceptance scenario: a sweep SIGKILLed mid-run resumes
@@ -267,8 +290,15 @@ class TestSigkillResume:
             if journal.exists() and '"completed"' in journal.read_text():
                 break
             time.sleep(0.05)
+        workers = _children(victim.pid)
+        assert workers or not Path("/proc/self").exists()  # pool is running
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30)
+        # The killed supervisor's pool workers must not outlive it.
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(0.1)
+        assert not [pid for pid in workers if _alive(pid)]
 
         completed = sum(
             1 for line in journal.read_text().splitlines() if '"completed"' in line

@@ -10,12 +10,24 @@ so their semantics are still exercised here.
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cpu.branch import (
+    BranchTargetBuffer,
+    ReturnAddressStack,
+    make_predictor,
+)
+from repro.cpu.cache import TLB, Cache, MainMemory
+from repro.cpu.checkpoint import snapshot_machine
 from repro.cpu.config import Enhancements, ProcessorConfig
 from repro.cpu.functional import run_functional_warming
+from repro.cpu.kernels.codegen import btb_events, ras_events
+from repro.cpu.kernels.numpy_impl import _resolve_predictor
 from repro.cpu.kernels.registry import (
     BACKEND_ENV_VAR,
     NumbaBackend,
@@ -26,9 +38,19 @@ from repro.cpu.kernels.registry import (
     numba_available,
     resolve_backend_name,
 )
+from repro.cpu.kernels.state import (
+    KernelBTB,
+    KernelCache,
+    KernelMemory,
+    KernelPredictor,
+    KernelRAS,
+    KernelTLB,
+)
 from repro.cpu.machine import Machine
 from repro.cpu.pipeline import run_detailed
 from repro.cpu.simulator import Simulator
+from repro.isa.trace import Trace
+from repro.techniques.smarts import SmartsTechnique
 
 from tests.conftest import TEST_SCALE, make_micro_workload
 
@@ -518,3 +540,317 @@ class TestHypothesisParity:
         ]
         assert results[1] == results[0]
         assert results[2] == results[0]
+
+
+# ---------------------------------------------------------------------------
+# warm() versus access(): the equivalence the one-pass sampled path rests on
+# ---------------------------------------------------------------------------
+
+#: Reference objects, flat-list state (numpy backend), flat-array state.
+STORAGES = ("reference", "list", "array")
+
+_STATS = ("hits", "misses", "prefetches")
+
+
+def _tags_only(snapshot):
+    return {k: v for k, v in snapshot.items() if k not in _STATS}
+
+
+def _hierarchy(storage, next_line_prefetch=False):
+    """(memory, l2, dl1) over one storage kind."""
+    if storage == "reference":
+        memory = MainMemory(100, 5, 8)
+        l2 = Cache("l2", 4096, 4, 64, 10, memory=memory)
+        l1 = Cache(
+            "dl1", 1024, 2, 32, 1, parent=l2,
+            next_line_prefetch=next_line_prefetch,
+        )
+    else:
+        memory = KernelMemory(100, 5, 8, storage)
+        l2 = KernelCache("l2", 4096, 4, 64, 10, storage, memory=memory)
+        l1 = KernelCache(
+            "dl1", 1024, 2, 32, 1, storage, parent=l2,
+            next_line_prefetch=next_line_prefetch,
+        )
+    return memory, l2, l1
+
+
+def _tlb(storage):
+    if storage == "reference":
+        return TLB("dtlb", 16, 30)
+    return KernelTLB("dtlb", 16, 30, storage)
+
+
+def _addresses(seed, count=3000, span=1 << 14):
+    rng = random.Random(seed)
+    return [rng.randrange(span) for _ in range(count)]
+
+
+class TestWarmAccessEquivalence:
+    """Functional warming trains every structure exactly as detailed
+    simulation does; only statistics differ.  This is what lets one
+    structural pass serve both a SMARTS run's warming gaps and its
+    detailed units."""
+
+    @pytest.mark.parametrize("storage", STORAGES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cache_hierarchy(self, storage, seed):
+        warm = _hierarchy(storage)
+        access = _hierarchy(storage)
+        for addr in _addresses(seed):
+            warm[2].warm(addr)
+            access[2].access(addr)
+        for warmed, accessed in zip(warm[1:], access[1:]):
+            assert _tags_only(warmed.warm_state()) == _tags_only(
+                accessed.warm_state()
+            )
+            assert (warmed.hits, warmed.misses, warmed.prefetches) == (0, 0, 0)
+            assert accessed.misses > 0 and accessed.hits > 0
+        assert warm[0].accesses == 0
+        assert access[0].accesses == access[1].misses
+
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_next_line_prefetch_pair(self, storage):
+        """``warm`` inserts the next line with ``_warm_insert`` into the
+        L1 only; ``access`` goes through ``_prefetch``, which also warms
+        the L2.  The L1s agree, the L2s do not -- so next-line prefetch
+        keeps the per-segment sampled loop."""
+        warm = _hierarchy(storage, next_line_prefetch=True)
+        access = _hierarchy(storage, next_line_prefetch=True)
+        for addr in _addresses(3):
+            warm[2].warm(addr)
+            access[2].access(addr)
+        assert _tags_only(warm[2].warm_state()) == _tags_only(
+            access[2].warm_state()
+        )
+        assert warm[2].prefetches == 0
+        assert access[2].prefetches == access[2].misses
+        assert warm[1].warm_state()["sets"] != access[1].warm_state()["sets"]
+
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_tlb(self, storage):
+        warm, access = _tlb(storage), _tlb(storage)
+        for addr in _addresses(4, span=1 << 20):
+            warm.warm(addr)
+            access.access(addr)
+        assert _tags_only(warm.warm_state()) == _tags_only(access.warm_state())
+        assert (warm.hits, warm.misses) == (0, 0)
+        assert access.hits > 0 and access.misses > 0
+
+    def test_storages_agree_on_access(self):
+        snapshots = []
+        for storage in STORAGES:
+            memory, l2, l1 = _hierarchy(storage, next_line_prefetch=True)
+            tlb = _tlb(storage)
+            for addr in _addresses(5):
+                l1.access(addr)
+                tlb.access(addr << 6)
+            snapshots.append(
+                (memory.warm_state(), l2.warm_state(), l1.warm_state(),
+                 tlb.warm_state())
+            )
+        assert snapshots[1] == snapshots[0]
+        assert snapshots[2] == snapshots[0]
+
+    @pytest.mark.parametrize(
+        "kind", ["combined", "bimodal", "gshare", "taken", "perfect"]
+    )
+    def test_predictor(self, kind):
+        """Reference and flat predictors, per call and through the
+        vectorized resolver, train identically (warming and detailed
+        simulation both use ``predict_update``)."""
+        rng = random.Random(6)
+        pcs = [rng.randrange(1 << 12) * 4 for _ in range(4000)]
+        taken = [rng.random() < 0.6 for _ in pcs]
+        reference = make_predictor(kind, 256)
+        expected = [reference.predict_update(p, t) for p, t in zip(pcs, taken)]
+        for storage in ("list", "array"):
+            flat = KernelPredictor(kind, 256, storage)
+            assert [flat.predict_update(p, t) for p, t in zip(pcs, taken)] == (
+                expected
+            )
+            assert flat.warm_state() == reference.warm_state()
+            resolved = KernelPredictor(kind, 256, "list")
+            correct = _resolve_predictor(
+                None, None, 0, len(pcs), resolved,
+                np.asarray(pcs, dtype=np.int64),
+                np.asarray(taken, dtype=np.int64),
+            )
+            assert correct.tolist() == expected
+            assert resolved.warm_state() == reference.warm_state()
+
+    def test_btb(self):
+        """The BTB counts in both modes, so its whole state -- counters
+        included -- must agree across implementations."""
+        rng = random.Random(7)
+        pcs = [rng.randrange(1 << 9) * 4 for _ in range(4000)]
+        targets = [rng.randrange(4) * 64 for _ in pcs]
+        reference = BranchTargetBuffer(64, 4)
+        expected = [reference.lookup_update(p, t) for p, t in zip(pcs, targets)]
+        for storage in ("list", "array"):
+            flat = KernelBTB(64, 4, storage)
+            assert [flat.lookup_update(p, t) for p, t in zip(pcs, targets)] == (
+                expected
+            )
+            assert flat.warm_state() == reference.warm_state()
+        flat = KernelBTB(64, 4, "list")
+        keys = [p >> 2 for p in pcs]
+        misses = btb_events(flat.assoc)(
+            [(k & flat.set_mask) * flat.assoc for k in keys],
+            keys, targets, flat.keys, flat.targets,
+        )
+        assert misses == [i for i, ok in enumerate(expected) if not ok]
+
+    def test_ras(self):
+        rng = random.Random(8)
+        pushes = [rng.random() < 0.5 for _ in range(4000)]
+        reference = ReturnAddressStack(8)
+        expected = []
+        for push in pushes:
+            if push:
+                reference.push()
+            else:
+                expected.append(reference.pop())
+        for storage in ("list", "array"):
+            flat = KernelRAS(8, storage)
+            got = []
+            for push in pushes:
+                if push:
+                    flat.push()
+                else:
+                    got.append(flat.pop())
+            assert got == expected
+            assert flat.warm_state() == reference.warm_state()
+        depth, overflows, correct = ras_events(pushes, 0, 8)
+        assert [bool(c) for c in correct] == expected
+        assert {"depth": depth, "overflows": overflows} == reference.warm_state()
+
+
+# ---------------------------------------------------------------------------
+# Sampled (SMARTS) runs: one structural pass versus the per-segment loop
+# ---------------------------------------------------------------------------
+
+
+def _sampled(backend, trace, config, enhancements, units, checkpoint_key=None):
+    simulator = Simulator(config, enhancements, backend=backend)
+    machine = simulator.new_machine()
+    run = simulator.run_sampled(
+        machine, trace, units, checkpoint_key=checkpoint_key
+    )
+    return (
+        [part.counters() for part in run.units],
+        run.warming,
+        run.cache_delta,
+        snapshot_machine(machine),
+    )
+
+
+@st.composite
+def sampled_scenarios(draw):
+    config = ProcessorConfig(
+        branch_predictor=draw(st.sampled_from(["combined", "gshare", "bimodal"])),
+        bht_entries=draw(st.sampled_from([512, 4096])),
+        btb_assoc=draw(st.sampled_from([1, 4])),
+        ras_entries=draw(st.sampled_from([2, 16])),
+        il1_size_kb=draw(st.sampled_from([8, 64])),
+        il1_assoc=draw(st.sampled_from([1, 2])),
+        dl1_size_kb=draw(st.sampled_from([8, 64])),
+        dl1_assoc=draw(st.sampled_from([1, 4])),
+        l2_assoc=draw(st.sampled_from([2, 8])),
+        rob_entries=draw(st.sampled_from([16, 64, 256])),
+        int_alu_lat=draw(st.sampled_from([1, 2])),
+    )
+    enhancements = Enhancements(trivial_computation=draw(st.booleans()))
+    u = draw(st.integers(1, 400))
+    w = draw(st.integers(0, 800))
+    n = draw(st.integers(1, 60))
+    return config, enhancements, u, w, n
+
+
+class TestSampledParity:
+    """``numpy``'s one-pass ``run_sampled`` against the per-segment
+    default the ``python`` reference backend runs."""
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(scenario=sampled_scenarios())
+    def test_one_pass_matches_per_segment(self, trace, scenario):
+        config, enhancements, u, w, n = scenario
+        n = SmartsTechnique._cap_samples(n, len(trace), u, w)
+        units = SmartsTechnique.schedule(len(trace), n, u, w)
+        expected = _sampled("python", trace, config, enhancements, units)
+        assert _sampled("numpy", trace, config, enhancements, units) == expected
+
+    @pytest.mark.parametrize(
+        "units",
+        [
+            [(0, 0, 50), (50, 50, 60), (60, 100, 200)],  # back-to-back units
+            [(0, 10, 20), (3000, 3000, 3001)],  # no warm-up, one instruction
+            [(100, 150, 200), (5000, 5800, 6000)],  # runs to the trace end
+        ],
+    )
+    def test_edge_schedules(self, trace, units):
+        units = [u for u in units if u[2] <= len(trace)]
+        for enhancements in (
+            Enhancements(),
+            Enhancements(trivial_computation=True, next_line_prefetch=True),
+        ):
+            expected = _sampled(
+                "python", trace, ProcessorConfig(), enhancements, units
+            )
+            got = _sampled("numpy", trace, ProcessorConfig(), enhancements, units)
+            assert got == expected
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_memory_ops_with_branch_flags(self, seed):
+        """Generated traces never flag a memory op as a branch, but the
+        model defines it: detailed simulation counts and resolves it as
+        a branch, functional warming skips it.  A random raw trace
+        exercises both sides of every segment boundary."""
+        rng = np.random.default_rng(seed)
+        length = 3000
+        random_trace = Trace(
+            op=rng.integers(0, 13, length).astype(np.uint8),
+            dst=rng.integers(-1, 8, length).astype(np.int16),
+            src1=rng.integers(-1, 8, length).astype(np.int16),
+            src2=rng.integers(-1, 8, length).astype(np.int16),
+            pc=(0x1000 + 4 * np.cumsum(rng.integers(-8, 9, length))).astype(
+                np.int64
+            ),
+            block=np.zeros(length, dtype=np.int32),
+            addr=(rng.integers(0, 1 << 16, length) * 8).astype(np.int64),
+            flags=rng.integers(0, 64, length).astype(np.uint8),
+            target=(rng.integers(0, 64, length) * 4).astype(np.int64),
+            num_blocks=1,
+        )
+        units = SmartsTechnique.schedule(length, 15, 30, 60)
+        for enhancements in (None, Enhancements(trivial_computation=True)):
+            expected = _sampled(
+                "python", random_trace, ProcessorConfig(), enhancements, units
+            )
+            got = _sampled(
+                "numpy", random_trace, ProcessorConfig(), enhancements, units
+            )
+            assert got == expected
+
+    def test_checkpointed_prefix(self, trace, tmp_path):
+        from repro.cpu import checkpoint
+        from repro.cpu.checkpoint import CheckpointStore
+
+        units = SmartsTechnique.schedule(len(trace), 12, 40, 120)
+        expected = _sampled("python", trace, ProcessorConfig(), None, units)
+        checkpoint.activate(CheckpointStore(tmp_path, 100))
+        try:
+            cold = _sampled(
+                "numpy", trace, ProcessorConfig(), None, units, "chain"
+            )
+            resumed = _sampled(
+                "numpy", trace, ProcessorConfig(), None, units, "chain"
+            )
+        finally:
+            checkpoint.activate(None)
+        assert cold == expected
+        assert resumed == expected

@@ -1,8 +1,12 @@
 """Tests for SMARTS sampling and its statistics."""
 
+from collections import Counter
+
 import pytest
 
 from repro.cpu.config import ARCH_CONFIGS
+from repro.cpu.kernels.registry import BACKEND_ENV_VAR
+from repro.obs import phases, trace
 from repro.scale import PROFILES, Scale
 from repro.techniques.reference import ReferenceTechnique
 from repro.techniques.smarts import (
@@ -125,3 +129,41 @@ class TestSmartsRun:
 
     def test_permutation_label(self):
         assert SmartsTechnique(1000, 2000).permutation == "U=1000, W=2000"
+
+
+class TestPhaseLedger:
+    def run_traced(self, monkeypatch, tmp_path, workload, backend):
+        """One SMARTS run on ``backend``: (result, ledger, spans per phase)."""
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+        phases.drain()
+        trace.activate(tmp_path / backend, worker="test")
+        try:
+            result = SmartsTechnique(1000, 2000).run(workload, CONFIG, TEST_SCALE)
+        finally:
+            trace.deactivate()
+        spans = Counter(
+            event["name"]
+            for event in trace.read_events(tmp_path / backend / "test.jsonl")
+            if event["event"] == "span"
+        )
+        return result, phases.drain(), spans
+
+    def test_instruction_totals_match_across_backends(
+        self, monkeypatch, tmp_path, workload
+    ):
+        _, python, _ = self.run_traced(monkeypatch, tmp_path, workload, "python")
+        _, numpy, _ = self.run_traced(monkeypatch, tmp_path, workload, "numpy")
+        assert {phase: entry["instructions"] for phase, entry in numpy.items()} == {
+            phase: entry["instructions"] for phase, entry in python.items()
+        }
+
+    def test_one_pass_records_phases_per_run(self, monkeypatch, tmp_path, workload):
+        """The one-pass path records each phase once per pass, not once
+        per sampling unit."""
+        result, _, spans = self.run_traced(monkeypatch, tmp_path, workload, "numpy")
+        assert spans["detailed"] == result.runs
+        assert spans["warm_detailed"] == result.runs
+        # The opening warm_prefix segment plus the pass itself.
+        assert spans["warming"] == 2 * result.runs
+        _, _, per_unit = self.run_traced(monkeypatch, tmp_path, workload, "python")
+        assert per_unit["detailed"] >= len(result.regions) > result.runs
