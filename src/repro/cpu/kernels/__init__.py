@@ -7,8 +7,9 @@ produce bit-identical statistics; they differ only in speed:
 
 * ``python`` -- the reference interpreter loops;
 * ``numpy``  -- vectorized resolve passes + a config-specialized
-  timing loop over flat-array state;
-* ``numba``  -- ``@njit``-compiled monolithic kernels (optional).
+  timing loop over flat-list state;
+* ``numba``  -- numpy's structures and resolve passes + the compiled
+  batch timing kernel, one run being a batch of one (optional).
 """
 
 from repro.cpu.kernels.registry import (

@@ -5,7 +5,8 @@ The split-phase batch path resolves structural outcomes once per batch
 per-config timing loops.  The ``numpy`` backend executes those loops
 sequentially as config-specialized generated Python -- the profiled
 remaining hot path of a batched sweep.  This module replaces the N
-interpreted loops with **one** compiled kernel:
+interpreted loops with **one** compiled kernel, which the ``numba``
+backend also runs for every single long region as a batch of one:
 
 * every per-config parameter the codegen loop bakes into its source
   (widths, queue sizes, FU latencies, pool sizes, mispredict penalty,
@@ -388,13 +389,9 @@ def _pack_pools(states) -> np.ndarray:
     return packed
 
 
-def _write_row(target, row: np.ndarray) -> None:
-    """Spill one packed row back into list- or array-backed state."""
-    width = len(target)
-    if isinstance(target, np.ndarray):
-        target[:] = row[:width]
-    else:
-        target[:] = row[:width].tolist()
+def _write_row(target: list, row: np.ndarray) -> None:
+    """Spill one packed row back into list-backed state."""
+    target[:] = row[: len(target)].tolist()
 
 
 def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:

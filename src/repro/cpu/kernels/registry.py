@@ -5,11 +5,12 @@ Three backends share one contract -- bit-identical statistics:
 * ``python``  -- the reference per-instruction interpreter loops over
   per-set Python-list structures (:mod:`repro.cpu.pipeline`,
   :mod:`repro.cpu.functional`);
-* ``numpy``   -- flat-array state, vectorized functional warming and a
+* ``numpy``   -- flat-list state, vectorized functional warming and a
   split-phase detailed model (resolve caches/predictors over
   pre-filtered indices, then run a lean timing loop);
-* ``numba``   -- the same flat-array state driven by ``@njit``-compiled
-  monolithic kernels; auto-detected, optional.
+* ``numba``   -- numpy's structures, resolve passes, warming and
+  sampled runs, with detailed timing on the compiled batch timing
+  kernel (a single run is a batch of one); auto-detected, optional.
 
 Selection follows the engine convention: explicit argument > the
 ``REPRO_BACKEND`` environment variable > default (the fastest available
@@ -114,11 +115,10 @@ def resolve_backend_name(name: Optional[str] = None) -> str:
 
 
 class Backend:
-    """One simulation backend: structure storage plus kernel entry points."""
+    """One simulation backend: structure set plus kernel entry points."""
 
-    #: Subclasses set these.
+    #: Subclasses set this.
     name = "abstract"
-    storage = "python"
 
     #: Whether :meth:`advance_detailed_batch` is implemented.  Callers
     #: (``Simulator.run_regions``, the engine's batching pass) consult
@@ -161,8 +161,10 @@ class Backend:
         statistics and the summed WarmingStats of the warming segments.
 
         This default is the per-segment reference loop: one warming
-        call per gap and one ``run_detailed`` per unit.  Backends may
-        override it with anything bit-identical to it.
+        call per gap and one ``run_detailed`` per unit.  The ``python``
+        backend runs it; ``numpy`` (and ``numba``, which inherits it)
+        overrides it with one structural pass per schedule, falling
+        back here only for next-line-prefetch configs.
         """
         from repro.cpu.functional import (
             WarmingStats,
@@ -208,7 +210,6 @@ class PythonBackend(Backend):
     """The reference interpreter loops over Python-list structures."""
 
     name = "python"
-    storage = "python"
 
     def advance_detailed(self, machine, trace, start, end, state) -> None:
         from repro.cpu.pipeline import _run_region
@@ -229,13 +230,12 @@ class NumpyBackend(Backend):
     """
 
     name = "numpy"
-    storage = "list"
     supports_config_batching = True
 
     def build_structures(self, config, enhancements):
         from repro.cpu.kernels.state import build_structures
 
-        return build_structures(config, enhancements, self.storage)
+        return build_structures(config, enhancements)
 
     def advance_detailed(self, machine, trace, start, end, state) -> None:
         try:
@@ -289,37 +289,31 @@ class NumpyBackend(Backend):
             raise KernelError(self.name, f"sampled kernel failed: {exc!r}") from exc
 
 
-class NumbaBackend(Backend):
-    """Flat-ndarray state driven by ``@njit``-compiled kernels.
+class NumbaBackend(NumpyBackend):
+    """Numpy's structures and resolve passes plus the compiled batch
+    timing kernel (:mod:`repro.cpu.kernels.batch_impl`).
 
-    Kernel dispatch is guarded: a failure inside the kernels surfaces
-    as :class:`KernelError` so the engine can degrade to ``numpy``.
+    A single run is the batch kernel at N=1; short regions and
+    next-line-prefetch configs (which the batch kernel rejects) keep
+    the inherited numpy path.  Everything else -- warming, sampled
+    runs -- is inherited and tagged with this backend's name, so a
+    :class:`KernelError` degrades one tier to ``numpy``.
     """
 
     name = "numba"
-    storage = "array"
-    supports_config_batching = True
-
-    def build_structures(self, config, enhancements):
-        from repro.cpu.kernels.state import build_structures
-
-        return build_structures(config, enhancements, self.storage)
 
     def advance_detailed(self, machine, trace, start, end, state) -> None:
-        try:
-            _kernel_guard_check(self.name)
-            from repro.cpu.kernels.numba_impl import advance_detailed
-
-            advance_detailed(machine, trace, start, end, state)
-        except Exception as exc:
-            raise KernelError(self.name, f"detailed kernel failed: {exc!r}") from exc
+        if end - start < SMALL_REGION or machine.enhancements.next_line_prefetch:
+            super().advance_detailed(machine, trace, start, end, state)
+            return
+        self.advance_detailed_batch(
+            machine, trace, start, end,
+            [(machine.config, machine.enhancements)], [state],
+        )
 
     def advance_detailed_batch(self, machine, trace, start, end, batch, states):
-        # The data-parallel batch kernel: one ``prange`` launch over the
-        # config dimension (repro.cpu.kernels.batch_impl), bit-identical
-        # to the sequential per-config loops.  A KernelError here
-        # degrades one tier to the numpy split-phase batch without
-        # spending retry budget, like the single-run ladder.
+        # One ``prange`` launch over the config dimension, bit-identical
+        # to the sequential per-config loops.
         try:
             _kernel_guard_check(self.name)
             from repro.cpu.kernels.batch_impl import advance_detailed_batch
@@ -329,15 +323,6 @@ class NumbaBackend(Backend):
             raise KernelError(
                 self.name, f"batched detailed kernel failed: {exc!r}"
             ) from exc
-
-    def run_warming(self, machine, trace, start, end):
-        try:
-            _kernel_guard_check(self.name)
-            from repro.cpu.kernels.numba_impl import run_warming
-
-            return run_warming(machine, trace, start, end)
-        except Exception as exc:
-            raise KernelError(self.name, f"warming kernel failed: {exc!r}") from exc
 
 
 _BACKENDS: Dict[str, Backend] = {}

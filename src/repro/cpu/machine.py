@@ -18,7 +18,7 @@ class Machine:
     """All stateful microarchitectural structures for one config.
 
     ``backend`` selects the simulation kernels (and with them the
-    storage layout of the structures): the default follows the
+    structure classes, reference or flat-list): the default follows the
     registry's flag > ``$REPRO_BACKEND`` > fastest-available rule.
     Every backend holds bit-identical state and statistics.
     """

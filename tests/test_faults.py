@@ -216,3 +216,60 @@ class TestKernelGuard:
             assert excinfo.value.fallback == "python"
         finally:
             faults.deactivate()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "advance_detailed_small",
+            "advance_detailed_large",
+            "advance_detailed_batch",
+            "run_warming",
+            "run_sampled",
+        ],
+    )
+    def test_numba_entry_points_fail_as_numba(
+        self, monkeypatch, micro_workload, test_scale, entry
+    ):
+        """Every ``numba`` entry point, those inherited from the numpy
+        backend included, is guarded under its own name and degrades
+        one tier to ``numpy``."""
+        from repro.cpu.config import ARCH_CONFIGS
+        from repro.cpu.kernels.registry import (
+            SMALL_REGION,
+            KernelError,
+            NumbaBackend,
+        )
+        from repro.cpu.machine import Machine
+        from repro.cpu.pipeline import _TimingState
+
+        trace = micro_workload.trace(test_scale)
+        end = len(trace)
+        assert end >= SMALL_REGION
+        backend = NumbaBackend()
+        machine = Machine(ARCH_CONFIGS[0], backend=backend)
+        state = _TimingState(machine)
+        calls = {
+            "advance_detailed_small": lambda: backend.advance_detailed(
+                machine, trace, 0, 64, state
+            ),
+            "advance_detailed_large": lambda: backend.advance_detailed(
+                machine, trace, 0, end, state
+            ),
+            "advance_detailed_batch": lambda: backend.advance_detailed_batch(
+                machine, trace, 0, end,
+                [(machine.config, machine.enhancements)], [state],
+            ),
+            "run_warming": lambda: backend.run_warming(machine, trace, 0, end),
+            "run_sampled": lambda: backend.run_sampled(
+                machine, trace, [(100, 200, 300)]
+            ),
+        }
+        monkeypatch.setenv(FAULT_PLAN_ENV_VAR, "kernel@0:numba")
+        faults.activate(0, 1)
+        try:
+            with pytest.raises(KernelError) as excinfo:
+                calls[entry]()
+        finally:
+            faults.deactivate()
+        assert excinfo.value.backend == "numba"
+        assert excinfo.value.fallback == "numpy"

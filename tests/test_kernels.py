@@ -4,8 +4,8 @@ Every simulation backend (``python`` reference, ``numpy`` vectorized,
 ``numba`` JIT) must produce bit-identical statistics; these tests pin
 that contract with fixed scenarios and a hypothesis sweep over random
 configurations and warm-up/measure splits.  Without numba installed the
-numba kernels run interpreted through the identity ``njit`` fallback,
-so their semantics are still exercised here.
+numba backend's batch timing kernel runs interpreted through the
+identity ``njit`` fallback, so its semantics are still exercised here.
 """
 
 from __future__ import annotations
@@ -385,6 +385,28 @@ class TestBatchedParity:
             trace, specs, start, end, backend=NumbaBackend()
         ) == expected
 
+    def test_numba_single_run_is_a_batch_of_one(self, trace, monkeypatch):
+        # A long region on the numba backend runs the batch timing
+        # kernel at N=1, bit-identically to numpy's codegen loop.
+        from repro.cpu.kernels import batch_impl
+
+        widths = []
+        kernel = batch_impl._batch_kernel
+
+        def counted(k, *args):
+            widths.append(k)
+            return kernel(k, *args)
+
+        monkeypatch.setattr(batch_impl, "_batch_kernel", counted)
+        expected = run_scenario(
+            NumpyBackend(), trace, ProcessorConfig(), None, 1000, 2500
+        )
+        got = run_scenario(
+            NumbaBackend(), trace, ProcessorConfig(), None, 1000, 2500
+        )
+        assert got == expected
+        assert widths == [1, 1]
+
     @pytest.mark.parametrize("threads", ["1", "2", "4"])
     def test_thread_count_independence(self, trace, monkeypatch, threads):
         # prange iterations are fully independent, so the thread count
@@ -546,8 +568,8 @@ class TestHypothesisParity:
 # warm() versus access(): the equivalence the one-pass sampled path rests on
 # ---------------------------------------------------------------------------
 
-#: Reference objects, flat-list state (numpy backend), flat-array state.
-STORAGES = ("reference", "list", "array")
+#: Reference objects and flat-list state (numpy and numba backends).
+STORAGES = ("reference", "list")
 
 _STATS = ("hits", "misses", "prefetches")
 
@@ -566,10 +588,10 @@ def _hierarchy(storage, next_line_prefetch=False):
             next_line_prefetch=next_line_prefetch,
         )
     else:
-        memory = KernelMemory(100, 5, 8, storage)
-        l2 = KernelCache("l2", 4096, 4, 64, 10, storage, memory=memory)
+        memory = KernelMemory(100, 5, 8)
+        l2 = KernelCache("l2", 4096, 4, 64, 10, memory=memory)
         l1 = KernelCache(
-            "dl1", 1024, 2, 32, 1, storage, parent=l2,
+            "dl1", 1024, 2, 32, 1, parent=l2,
             next_line_prefetch=next_line_prefetch,
         )
     return memory, l2, l1
@@ -578,7 +600,7 @@ def _hierarchy(storage, next_line_prefetch=False):
 def _tlb(storage):
     if storage == "reference":
         return TLB("dtlb", 16, 30)
-    return KernelTLB("dtlb", 16, 30, storage)
+    return KernelTLB("dtlb", 16, 30)
 
 
 def _addresses(seed, count=3000, span=1 << 14):
@@ -650,7 +672,6 @@ class TestWarmAccessEquivalence:
                  tlb.warm_state())
             )
         assert snapshots[1] == snapshots[0]
-        assert snapshots[2] == snapshots[0]
 
     @pytest.mark.parametrize(
         "kind", ["combined", "bimodal", "gshare", "taken", "perfect"]
@@ -664,20 +685,17 @@ class TestWarmAccessEquivalence:
         taken = [rng.random() < 0.6 for _ in pcs]
         reference = make_predictor(kind, 256)
         expected = [reference.predict_update(p, t) for p, t in zip(pcs, taken)]
-        for storage in ("list", "array"):
-            flat = KernelPredictor(kind, 256, storage)
-            assert [flat.predict_update(p, t) for p, t in zip(pcs, taken)] == (
-                expected
-            )
-            assert flat.warm_state() == reference.warm_state()
-            resolved = KernelPredictor(kind, 256, "list")
-            correct = _resolve_predictor(
-                None, None, 0, len(pcs), resolved,
-                np.asarray(pcs, dtype=np.int64),
-                np.asarray(taken, dtype=np.int64),
-            )
-            assert correct.tolist() == expected
-            assert resolved.warm_state() == reference.warm_state()
+        flat = KernelPredictor(kind, 256)
+        assert [flat.predict_update(p, t) for p, t in zip(pcs, taken)] == expected
+        assert flat.warm_state() == reference.warm_state()
+        resolved = KernelPredictor(kind, 256)
+        correct = _resolve_predictor(
+            None, None, 0, len(pcs), resolved,
+            np.asarray(pcs, dtype=np.int64),
+            np.asarray(taken, dtype=np.int64),
+        )
+        assert correct.tolist() == expected
+        assert resolved.warm_state() == reference.warm_state()
 
     def test_btb(self):
         """The BTB counts in both modes, so its whole state -- counters
@@ -687,13 +705,10 @@ class TestWarmAccessEquivalence:
         targets = [rng.randrange(4) * 64 for _ in pcs]
         reference = BranchTargetBuffer(64, 4)
         expected = [reference.lookup_update(p, t) for p, t in zip(pcs, targets)]
-        for storage in ("list", "array"):
-            flat = KernelBTB(64, 4, storage)
-            assert [flat.lookup_update(p, t) for p, t in zip(pcs, targets)] == (
-                expected
-            )
-            assert flat.warm_state() == reference.warm_state()
-        flat = KernelBTB(64, 4, "list")
+        flat = KernelBTB(64, 4)
+        assert [flat.lookup_update(p, t) for p, t in zip(pcs, targets)] == expected
+        assert flat.warm_state() == reference.warm_state()
+        flat = KernelBTB(64, 4)
         keys = [p >> 2 for p in pcs]
         misses = btb_events(flat.assoc)(
             [(k & flat.set_mask) * flat.assoc for k in keys],
@@ -711,16 +726,15 @@ class TestWarmAccessEquivalence:
                 reference.push()
             else:
                 expected.append(reference.pop())
-        for storage in ("list", "array"):
-            flat = KernelRAS(8, storage)
-            got = []
-            for push in pushes:
-                if push:
-                    flat.push()
-                else:
-                    got.append(flat.pop())
-            assert got == expected
-            assert flat.warm_state() == reference.warm_state()
+        flat = KernelRAS(8)
+        got = []
+        for push in pushes:
+            if push:
+                flat.push()
+            else:
+                got.append(flat.pop())
+        assert got == expected
+        assert flat.warm_state() == reference.warm_state()
         depth, overflows, correct = ras_events(pushes, 0, 8)
         assert [bool(c) for c in correct] == expected
         assert {"depth": depth, "overflows": overflows} == reference.warm_state()
@@ -768,8 +782,9 @@ def sampled_scenarios(draw):
 
 
 class TestSampledParity:
-    """``numpy``'s one-pass ``run_sampled`` against the per-segment
-    default the ``python`` reference backend runs."""
+    """``numpy``'s one-pass ``run_sampled`` (inherited by ``numba``)
+    against the per-segment default the ``python`` reference backend
+    runs."""
 
     @settings(
         max_examples=25,
@@ -782,7 +797,8 @@ class TestSampledParity:
         n = SmartsTechnique._cap_samples(n, len(trace), u, w)
         units = SmartsTechnique.schedule(len(trace), n, u, w)
         expected = _sampled("python", trace, config, enhancements, units)
-        assert _sampled("numpy", trace, config, enhancements, units) == expected
+        for backend in ARRAY_BACKENDS:
+            assert _sampled(backend, trace, config, enhancements, units) == expected
 
     @pytest.mark.parametrize(
         "units",
@@ -801,8 +817,11 @@ class TestSampledParity:
             expected = _sampled(
                 "python", trace, ProcessorConfig(), enhancements, units
             )
-            got = _sampled("numpy", trace, ProcessorConfig(), enhancements, units)
-            assert got == expected
+            for backend in ARRAY_BACKENDS:
+                got = _sampled(
+                    backend, trace, ProcessorConfig(), enhancements, units
+                )
+                assert got == expected
 
     @pytest.mark.parametrize("seed", [11, 12])
     def test_memory_ops_with_branch_flags(self, seed):
@@ -831,10 +850,11 @@ class TestSampledParity:
             expected = _sampled(
                 "python", random_trace, ProcessorConfig(), enhancements, units
             )
-            got = _sampled(
-                "numpy", random_trace, ProcessorConfig(), enhancements, units
-            )
-            assert got == expected
+            for backend in ARRAY_BACKENDS:
+                got = _sampled(
+                    backend, random_trace, ProcessorConfig(), enhancements, units
+                )
+                assert got == expected
 
     def test_checkpointed_prefix(self, trace, tmp_path):
         from repro.cpu import checkpoint
@@ -842,15 +862,16 @@ class TestSampledParity:
 
         units = SmartsTechnique.schedule(len(trace), 12, 40, 120)
         expected = _sampled("python", trace, ProcessorConfig(), None, units)
-        checkpoint.activate(CheckpointStore(tmp_path, 100))
-        try:
-            cold = _sampled(
-                "numpy", trace, ProcessorConfig(), None, units, "chain"
-            )
-            resumed = _sampled(
-                "numpy", trace, ProcessorConfig(), None, units, "chain"
-            )
-        finally:
-            checkpoint.activate(None)
-        assert cold == expected
-        assert resumed == expected
+        for backend in ARRAY_BACKENDS:
+            checkpoint.activate(CheckpointStore(tmp_path / backend.name, 100))
+            try:
+                cold = _sampled(
+                    backend, trace, ProcessorConfig(), None, units, "chain"
+                )
+                resumed = _sampled(
+                    backend, trace, ProcessorConfig(), None, units, "chain"
+                )
+            finally:
+                checkpoint.activate(None)
+            assert cold == expected
+            assert resumed == expected
