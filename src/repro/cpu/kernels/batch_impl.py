@@ -1,8 +1,9 @@
 """Data-parallel batched timing kernel (``numba prange`` over configs).
 
 The split-phase batch path resolves structural outcomes once per batch
-(:func:`repro.cpu.kernels.numpy_impl.resolve_region`) and then runs N
-per-config timing loops.  The ``numpy`` backend executes those loops
+(:func:`repro.cpu.kernels.numpy_impl.resolve_detailed`, the numpy
+backend's single structural pass over a one-unit schedule) and then
+runs N per-config timing loops.  The ``numpy`` backend executes those loops
 sequentially as config-specialized generated Python -- the profiled
 remaining hot path of a batched sweep.  This module replaces the N
 interpreted loops with **one** compiled kernel, which the ``numba``
@@ -412,12 +413,7 @@ def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
             "to per-config runs)"
         )
     k = len(batch)
-    lead = states[0]
-    res = numpy_impl.resolve_region(
-        machine, trace, start, end,
-        lead.last_fetch_block, lead.last_fetch_page,
-        count_trivial=any(e.trivial_computation for _, e in batch),
-    )
+    res = numpy_impl.resolve_detailed(machine, trace, start, end, states[0])
     lat = LatencyTable([config for config, _ in batch])
     ml, drain, ev_stall = numpy_impl.assemble_timing_tables(res, lat)
 

@@ -18,11 +18,16 @@ reference interleaved loop:
    :mod:`repro.cpu.kernels.codegen` over the precomputed latencies,
    sparse stall events and sparse mispredict redirects.
 
-Functional warming is the resolve phase alone with warm semantics
-(state updates without cache/TLB statistics).  A sampled (SMARTS) run
-resolves once from its first unit to the end of the trace, warming and
-detailed segments alike, and then times each unit as its own row
-(:func:`run_sampled`).
+One function, :func:`resolve`, advances every structure for every
+caller; what differs is only the unit schedule it is given.  A
+detailed region is one unit covering the region, continuing its timing
+state's fetch block and page; functional warming is a pass with no
+units (state updates without cache/TLB statistics, memory ops never
+branches); a sampled (SMARTS) run resolves once from its first unit to
+the end of the trace, warming gaps and detailed units alike, and then
+times each unit as its own row (:func:`run_sampled`).  Per-unit
+counters come from ``searchsorted`` over the sorted event positions,
+and the gaps' counts are the functional-warming statistics.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from repro.cpu.kernels.state import (
     STAT_MISSES,
     LatencyTable,
 )
-from repro.isa.trace import BK_CALL, BK_COND, BK_RETURN, BK_UNCOND
+from repro.isa.trace import BK_CALL, BK_COND, BK_RETURN, BK_UNCOND, FLAG_TRIVIAL
 from repro.obs import phases as obs_phases
 
 _INF = 1 << 62
@@ -127,39 +132,12 @@ def _structure_events(structure, blocks: np.ndarray) -> np.ndarray:
     return _int64(miss)
 
 
-def _mem_feed(trace, start, end):
-    """Memoized memory-op index artifacts for one region."""
-    def build():
-        op_r = trace.op[start:end]
-        mem_mask = (op_r == 6) | (op_r == 7)
-        mem_idx = np.flatnonzero(mem_mask)
-        is_load = op_r[mem_idx] == 6
-        return mem_mask, mem_idx, is_load, int(np.count_nonzero(is_load))
-
-    return trace.region_memo(("mem", start, end), build)
-
-
-def _cache_feed(trace, tag, start, end, blocks_fn, set_mask, assoc):
-    """Memoized dedup feed for one structure stream over one region."""
-    return trace.region_memo(
-        (tag, start, end, set_mask, assoc),
-        lambda: _dedup_filter(blocks_fn(), set_mask, assoc),
-    )
-
-
-def _branch_feed(trace, tag, start, end, mem_mask):
-    """Memoized branch index sets for one region.
-
-    ``mem_mask`` selects the warming variant, whose control flow (as
-    in the reference loop) never treats a memory op as a branch.
-    """
-    def build():
-        bk = trace.branch_kinds()[start:end]
-        if mem_mask is not None:
-            bk = np.where(mem_mask, 0, bk)
-        return _build_branch_feed(trace, start, end, bk)
-
-    return trace.region_memo((tag, start, end), build)
+def _mem_events(trace, start, end):
+    """Memory-op mask, indices and load flags of ``trace[start:end)``."""
+    op_r = trace.op[start:end]
+    mem_mask = (op_r == 6) | (op_r == 7)
+    mem_idx = np.flatnonzero(mem_mask)
+    return mem_mask, mem_idx, op_r[mem_idx] == 6
 
 
 def _build_branch_feed(trace, start, end, bk):
@@ -170,7 +148,6 @@ def _build_branch_feed(trace, start, end, bk):
     cr_is_call = bk[cr_idx] == BK_CALL
     unc_idx = np.flatnonzero(bk == BK_UNCOND)
     return (
-        int(np.count_nonzero(bk)),
         cond_idx,
         t_cond,
         trace.pc[start:end][cond_idx],
@@ -285,7 +262,7 @@ def _resolve_branches(machine, trace, tag, start, end, feed) -> np.ndarray:
     Returns the full-length mispredict mask of ``trace[start:end)``.
     """
     (
-        _n, cond_idx, t_cond, pc_cond, cr_idx, cr_is_call, cr_push_l, unc_idx,
+        cond_idx, t_cond, pc_cond, cr_idx, cr_is_call, cr_push_l, unc_idx,
     ) = feed
     pred_correct = _resolve_predictor(
         trace, tag, start, end, machine.predictor, pc_cond, t_cond
@@ -343,158 +320,246 @@ class RegionResolution:
 
     Everything a config needs that is *not* a latency: sparse miss
     index sets with per-miss L2-missness flags, the shared sparse
-    event union for the segmented timing loop, and the counter deltas.
-    One resolution serves any number of latency configs -- the
-    structures were advanced while producing it, and no field depends
-    on a latency parameter (the serial prefetch path is the one
-    exception; it bakes its single config's latencies into
+    event union for the segmented timing loop, and the counter totals
+    inside the units (for a detailed region, the region's).  One
+    resolution serves any number of latency configs -- the structures
+    were advanced while producing it, and no field depends on a
+    latency parameter (the serial prefetch path is the one exception;
+    it bakes its single config's latencies into
     ``stall_cache``/``dl1_lat_ev`` and is never used for batches).
     """
 
     __slots__ = (
         "n", "n_mem", "n_loads", "n_branches", "n_redir", "n_trivial",
         "fetch_idx", "il1_miss", "il1_l2miss", "itlb_pos", "itlb_miss",
-        "is_load", "dl1_miss", "dl1_l2miss", "dtlb_miss",
+        "mem_idx", "is_load", "dl1_miss", "dl1_l2miss", "dtlb_miss",
         "stall_cache", "dl1_lat_ev", "stall_ev", "stall_slot",
         "ev_pos_l", "ev_redir", "last_fetch_block", "last_fetch_page",
     )
 
 
-def resolve_region(
-    machine, trace, start, end,
-    last_fetch_block: int, last_fetch_page: int,
-    count_trivial: bool = False,
-) -> RegionResolution:
+def resolve(
+    machine, trace, start, end, units,
+    entry_block: int = -1, entry_page: int = -1, tag=None,
+):
     """Advance the structures over ``trace[start:end)``; resolve events.
 
-    This is phase 1 of the split: every structure (caches, TLBs,
-    predictor, BTB, RAS) is trained and its statistics updated, and the
-    returned :class:`RegionResolution` records which accesses missed --
-    but no latency is applied.  Because the model feeds no timing back
-    into the structures, the same resolution is valid for *every*
-    latency configuration sharing this geometry.
+    The one structural pass of this backend: every structure (caches,
+    TLBs, predictor, BTB, RAS) is trained and its statistics updated,
+    and the returned :class:`RegionResolution` records which accesses
+    missed -- but no latency is applied.  Because the model feeds no
+    timing back into the structures, the same resolution is valid for
+    *every* latency configuration sharing this geometry.  Detailed
+    regions, functional warming and sampled runs differ only in the
+    data passed in:
+
+    * ``units`` lists region-relative ``(warm_start, sample_start,
+      anchor)`` bounds in order: ``[warm_start, anchor)`` runs detailed
+      and is measured from ``sample_start``, the gaps between units warm
+      functionally.  A detailed region is the single unit ``(0, 0, n)``;
+      a warming call has no units.
+    * ``entry_block``/``entry_page`` are the fetch block and page the
+      region continues (a detailed region's timing state), ``-1`` for
+      none.  Every later segment start (a unit's start or end) fetches
+      afresh, since each warming call and each ``detail()`` starts from
+      "no previous fetch block".
+    * ``tag`` names the region-memo namespace of the branch feeds
+      (``"branch"`` detailed, ``"branchw"`` warming) and turns the memo
+      on; sampled passes pass ``None``, as their keys never repeat.
+
+    Inside gaps memory ops are never branches (the reference warming
+    loop skips them); cache/TLB statistics and L2 memory counts advance
+    only inside units, while the BTB counts every lookup, as the
+    reference loops do.
+
+    Returns ``(res, counters, gaps)``: the timing-facing resolution
+    (events restricted to the units), each unit's measured-slice
+    counters as SimulationStats field -> per-unit list, and the gaps'
+    WarmingStats.  Next-line prefetch walks the caches serially and
+    leaves their statistics to the structures, so its counters carry
+    no cache misses.
     """
+    from repro.cpu.functional import WarmingStats
+
     il1 = machine.il1
     dl1 = machine.dl1
     l2 = machine.l2
     itlb = machine.itlb
     dtlb = machine.dtlb
     n = end - start
+    ws, ss, an = _int64(units).reshape(-1, 3).T
+    in_detail = np.zeros(n, dtype=bool)
+    for lo, hi in zip(ws.tolist(), an.tolist()):
+        in_detail[lo:hi] = True
+    # Segment starts after the first.  Only sampled passes have any, and
+    # they memoize nothing: the memo keys below do not carry them.
+    restarts = np.union1d(ws, an[an < n])
+    restarts = restarts[restarts > 0]
 
-    res = RegionResolution()
-    res.n = n
-    res.stall_cache = None
-    res.dl1_lat_ev = None
+    def memo(key, build):
+        return build() if tag is None else trace.region_memo(key, build)
+
+    def misses(structure, key, stream):
+        """Replay ``structure`` over a (memoized) dedup feed; misses."""
+        feed = memo(
+            key, lambda: _dedup_filter(stream(), structure.set_mask, structure.assoc)
+        )
+        return _int64(_replay(structure, feed))
 
     pc_r = trace.pc[start:end]
     addr_r = trace.addr[start:end]
-    mem_mask, mem_idx, is_load, n_loads = _mem_feed(trace, start, end)
-    n_mem = len(mem_idx)
-    res.n_mem = n_mem
-    res.n_loads = n_loads
-    res.is_load = is_load
+    mem_mask, mem_idx, is_load = memo(
+        ("mem", start, end), lambda: _mem_events(trace, start, end)
+    )
 
     # ---- fetch events (I-cache block changes; page changes within them)
     fb = trace.fetch_blocks(il1.block_shift)[start:end]
-    pg = trace.pages()[start:end]
-    fetch_idx = trace.region_memo(
-        ("fetch", start, end, il1.block_shift),
-        lambda: np.flatnonzero(_change_mask(fb, -1)),
-    )
+
+    def fetch_events():
+        mask = _change_mask(fb, -1)
+        mask[restarts] = True
+        return np.flatnonzero(mask)
+
+    fetch_idx = memo(("fetch", start, end, il1.block_shift), fetch_events)
     # The memoized index set assumes the first instruction starts a new
     # fetch block (always true from reset); on a warm machine whose
     # last block matches, drop that leading event.
-    first_in = int(fb[0]) != last_fetch_block
+    first_in = int(fb[0]) != entry_block
     if not first_in:
         fetch_idx = fetch_idx[1:]
-    pgs = pg[fetch_idx]
-    pgc = _change_mask(pgs, last_fetch_page)
-    itlb_pos = np.flatnonzero(pgc)
-    res.fetch_idx = fetch_idx
-    res.itlb_pos = itlb_pos
-    n_fetch = len(fetch_idx)
+    pgs = trace.pages()[start:end][fetch_idx]
+    page_mask = _change_mask(pgs, entry_page)
+    page_mask[np.searchsorted(fetch_idx, restarts)] = True
+    itlb_pos = np.flatnonzero(page_mask)
+
+    # Sorted region-relative positions of every counted event, keyed by
+    # the SimulationStats field that counts them (plus the ITLB lookups).
+    pos = {
+        "il1_accesses": fetch_idx,
+        "dl1_accesses": mem_idx,
+        "itlb_accesses": fetch_idx[itlb_pos],
+        "loads": mem_idx[is_load],
+    }
+    counted = [
+        (itlb, "itlb_accesses", "itlb_misses"),
+        (dtlb, "dl1_accesses", "dtlb_misses"),
+    ]
 
     # ---- caches
     if machine.enhancements.next_line_prefetch:
-        res.il1_miss = res.il1_l2miss = None
-        res.dl1_miss = res.dl1_l2miss = None
-        stall_cache, dl1_lat_ev = _resolve_caches_serial(
-            machine, pc_r, addr_r, fetch_idx, mem_idx
+        il1_l2miss = dl1_miss = dl1_l2miss = None
+        stall_cache, dl1_lat_ev = _caches_serial(
+            machine, pc_r, addr_r, fetch_idx, mem_idx, in_detail
         )
-        res.stall_cache = stall_cache
-        res.dl1_lat_ev = dl1_lat_ev
+        il1_miss = np.flatnonzero(stall_cache)
     else:
-        il1_feed = trace.region_memo(
+        stall_cache = dl1_lat_ev = None
+        il1_miss = misses(
+            il1,
             ("il1", start, end, il1.block_shift, il1.set_mask, il1.assoc, first_in),
-            lambda: _dedup_filter(fb[fetch_idx], il1.set_mask, il1.assoc),
+            lambda: fb[fetch_idx],
         )
-        il1_miss = _int64(_replay(il1, il1_feed))
-        dl1_feed = _cache_feed(
-            trace, "dl1", start, end,
+        dl1_miss = misses(
+            dl1, ("dl1", start, end, dl1.set_mask, dl1.assoc),
             lambda: trace.data_blocks(dl1.block_shift)[start:end][mem_idx],
-            dl1.set_mask, dl1.assoc,
         )
-        dl1_miss = _int64(_replay(dl1, dl1_feed))
-
         il1_g = fetch_idx[il1_miss]
         dl1_g = mem_idx[dl1_miss]
-        il1_l2miss, dl1_l2miss = _resolve_l2(l2, pc_r, addr_r, il1_g, dl1_g)
         # Only hit-or-miss is resolved here; the fill *latency* of each
         # L2 miss is a per-config quantity applied during assembly.
-        n_il1_miss = len(il1_g)
-        n_merge = n_il1_miss + len(dl1_g)
-        n_l2_miss = int(np.count_nonzero(il1_l2miss)) + int(
-            np.count_nonzero(dl1_l2miss)
+        il1_l2miss, dl1_l2miss = _resolve_l2(l2, pc_r, addr_r, il1_g, dl1_g)
+        pos["il1_misses"] = np.sort(il1_g)
+        pos["dl1_misses"] = np.sort(dl1_g)
+        pos["l2_accesses"] = np.sort(np.concatenate([il1_g, dl1_g]))
+        pos["l2_misses"] = np.sort(
+            np.concatenate([il1_g[il1_l2miss], dl1_g[dl1_l2miss]])
         )
-        res.il1_miss = il1_miss
-        res.il1_l2miss = il1_l2miss
-        res.dl1_miss = dl1_miss
-        res.dl1_l2miss = dl1_l2miss
-
-        il1.stats[STAT_HITS] += n_fetch - n_il1_miss
-        il1.stats[STAT_MISSES] += n_il1_miss
-        dl1.stats[STAT_HITS] += n_mem - len(dl1_g)
-        dl1.stats[STAT_MISSES] += len(dl1_g)
-        l2.stats[STAT_HITS] += n_merge - n_l2_miss
-        l2.stats[STAT_MISSES] += n_l2_miss
-        l2.memory.stats[0] += n_l2_miss
+        counted += [
+            (il1, "il1_accesses", "il1_misses"),
+            (dl1, "dl1_accesses", "dl1_misses"),
+            (l2, "l2_accesses", "l2_misses"),
+        ]
 
     # ---- TLBs (independent structures; no timing feedback)
     itlb_miss = _structure_events(itlb, pgs[itlb_pos])
-    itlb.stats[STAT_HITS] += len(itlb_pos) - len(itlb_miss)
-    itlb.stats[STAT_MISSES] += len(itlb_miss)
-    dtlb_feed = _cache_feed(
-        trace, "dtlb", start, end,
+    dtlb_miss = misses(
+        dtlb, ("dtlb", start, end, dtlb.set_mask, dtlb.assoc),
         lambda: trace.data_pages()[start:end][mem_idx],
-        dtlb.set_mask, dtlb.assoc,
     )
-    dtlb_miss = _int64(_replay(dtlb, dtlb_feed))
-    dtlb.stats[STAT_HITS] += n_mem - len(dtlb_miss)
-    dtlb.stats[STAT_MISSES] += len(dtlb_miss)
-    res.itlb_miss = itlb_miss
-    res.dtlb_miss = dtlb_miss
-
-    # ---- fetch-stall event positions (il1 miss fill + ITLB walk).
-    # Every stall contribution is strictly positive (validated
-    # latencies), so the *set* of stalling fetch events is latency-
-    # independent: il1 misses unioned with ITLB walks.  The serial
-    # prefetch path has its single config's values in hand and scans
-    # them directly.
-    if res.stall_cache is not None:
-        if len(itlb_miss):
-            res.stall_cache[itlb_pos[itlb_miss]] += itlb.miss_latency
-        stall_ev = np.flatnonzero(res.stall_cache)
-    else:
-        stall_sel = np.zeros(n_fetch, dtype=bool)
-        stall_sel[res.il1_miss] = True
-        stall_sel[itlb_pos[itlb_miss]] = True
-        stall_ev = np.flatnonzero(stall_sel)
-    res.stall_ev = stall_ev
-    stall_pos = fetch_idx[stall_ev]
+    pos["itlb_misses"] = np.sort(fetch_idx[itlb_pos[itlb_miss]])
+    pos["dtlb_misses"] = np.sort(mem_idx[dtlb_miss])
 
     # ---- branches: direction predictor, RAS, BTB
-    feed = _branch_feed(trace, "branch", start, end, None)
-    redirect = _resolve_branches(machine, trace, "branch", start, end, feed)
+    def branch_feed():
+        bk = trace.branch_kinds()[start:end]
+        gap_mem = mem_mask & ~in_detail
+        if gap_mem.any():
+            bk = np.where(gap_mem, 0, bk)
+        return _build_branch_feed(trace, start, end, bk)
+
+    feed = memo((tag, start, end), branch_feed)
+    wrong = _resolve_branches(machine, trace, tag, start, end, feed)
+    # Three disjoint sorted runs: a stable sort merges them.
+    pos["branches"] = np.sort(
+        np.concatenate([feed[0], feed[3], feed[6]]), kind="stable"
+    )
+    pos["mispredictions"] = np.flatnonzero(wrong)
+    if len(ws):
+        # From the flags, not the cached ``trivial_bits`` column: that
+        # would hold 8 bytes per trace instruction for every run.
+        tv = (trace.flags[start:end] & FLAG_TRIVIAL) != 0
+        pos["trivial_simplified"] = np.flatnonzero(tv & ~mem_mask)
+
+    # ---- counters: structure statistics and totals inside the units,
+    # WarmingStats in the gaps, per-unit counts of the measured slices.
+    def count(events, lo):
+        return np.searchsorted(events, an) - np.searchsorted(events, lo)
+
+    inside = {name: int(count(events, ws).sum()) for name, events in pos.items()}
+    for structure, accesses, missed in counted:
+        structure.stats[STAT_HITS] += inside[accesses] - inside[missed]
+        structure.stats[STAT_MISSES] += inside[missed]
+    l2.memory.stats[0] += inside.get("l2_misses", 0)
+    gap = {name: len(pos[name]) - inside[name] for name in pos}
+    gaps = WarmingStats(
+        instructions=n - int((an - ws).sum()),
+        branches=gap["branches"],
+        mispredictions=gap["mispredictions"],
+        loads=gap["loads"],
+        stores=gap["dl1_accesses"] - gap["loads"],
+    )
+    del pos["itlb_accesses"]
+    counters = {name: count(events, ss).tolist() for name, events in pos.items()}
+    counters["stores"] = [
+        mem - load
+        for mem, load in zip(counters["dl1_accesses"], counters["loads"])
+    ]
+
+    res = RegionResolution()
+    res.n = n
+    res.n_mem = len(mem_idx)
+    res.mem_idx = mem_idx
+    res.is_load = is_load
+    res.fetch_idx = fetch_idx
+    res.il1_miss = il1_miss
+    res.il1_l2miss = il1_l2miss
+    res.itlb_pos = itlb_pos
+    res.itlb_miss = itlb_miss
+    res.dl1_miss = dl1_miss
+    res.dl1_l2miss = dl1_l2miss
+    res.dtlb_miss = dtlb_miss
+    res.stall_cache = stall_cache
+    res.dl1_lat_ev = dl1_lat_ev
+
+    # ---- fetch-stall event positions (il1 miss fill + ITLB walk),
+    # inside the units only.  Every stall contribution is strictly
+    # positive (validated latencies), so the *set* of stalling fetch
+    # events is latency-independent: il1 misses unioned with ITLB walks.
+    stall_sel = np.zeros(len(fetch_idx), dtype=bool)
+    stall_sel[il1_miss] = True
+    stall_sel[itlb_pos[itlb_miss]] = True
+    stall_sel &= in_detail[fetch_idx]
+    res.stall_ev = np.flatnonzero(stall_sel)
 
     # ---- merged sparse events for the segmented timing loop: one
     # entry per instruction that stalls fetch and/or redirects it.
@@ -504,22 +569,27 @@ def resolve_region(
     # config; only the stall *values* are per-config, so
     # ``stall_slot`` records where the stall events land inside the
     # union for the assembly scatter.
-    n_redir = int(np.count_nonzero(redirect))
-    _set_event_union(res, n, stall_pos, redirect)
+    _set_event_union(res, n, fetch_idx[res.stall_ev], wrong & in_detail)
 
-    # ---- counter deltas
-    res.n_branches = feed[0]
-    res.n_redir = n_redir
-    res.n_trivial = 0
-    if count_trivial:
-        tv = trace.trivial_bits()[start:end]
-        res.n_trivial = int(np.count_nonzero((tv != 0) & ~mem_mask))
-    if n_fetch:
+    res.n_loads = inside["loads"]
+    res.n_branches = inside["branches"]
+    res.n_redir = inside["mispredictions"]
+    res.n_trivial = inside.get("trivial_simplified", 0)
+    if len(fetch_idx):
         res.last_fetch_block = int(fb[-1])
         res.last_fetch_page = int(pgs[-1])
     else:
         res.last_fetch_block = None
         res.last_fetch_page = None
+    return res, counters, gaps
+
+
+def resolve_detailed(machine, trace, start, end, state) -> RegionResolution:
+    """:func:`resolve` for one detailed region continuing ``state``'s fetch."""
+    res, _, _ = resolve(
+        machine, trace, start, end, [(0, 0, end - start)],
+        state.last_fetch_block, state.last_fetch_page, "branch",
+    )
     return res
 
 
@@ -542,74 +612,54 @@ def _set_event_union(res, n, stall_pos, redirect) -> None:
 def assemble_timing_feed(machine, res: RegionResolution):
     """One config's timing feed from a resolved region (the N=1 case).
 
-    Applies ``machine``'s own latencies to the resolution's miss sets:
-    memory completion latencies per mem event, write-buffer drains per
-    store, and the per-event stall magnitudes over the shared event
-    union.  Returns ``(ml_l, drain_l, ev_stall)`` ready for the timing
-    loop.
+    Row 0 of :func:`assemble_timing_tables` for ``machine``'s own
+    latencies, as lists: ``(ml_l, drain_l, ev_stall)`` ready for the
+    timing loop.
     """
-    dtlb_extra = np.zeros(res.n_mem, dtype=np.int64)
-    dtlb_extra[res.dtlb_miss] = machine.dtlb.miss_latency
-    if res.dl1_lat_ev is not None:  # serial (prefetch) resolve
-        dl1_lat_ev = res.dl1_lat_ev
-        l2_hit = l2_fill = 0  # already folded into the serial values
-    else:
-        l2 = machine.l2
-        l2_hit = l2.hit_latency
-        l2_fill = l2.memory.fill_latency(l2.block_bytes)
-        dl1_lat_ev = np.full(res.n_mem, machine.dl1.hit_latency, dtype=np.int64)
-        if len(res.dl1_miss):
-            dl1_lat_ev[res.dl1_miss] += l2_hit + res.dl1_l2miss * l2_fill
-    ml = np.where(res.is_load, dl1_lat_ev + dtlb_extra, 1 + dtlb_extra)
-    # Write-buffer drain times are consumed by stores only, so the
-    # timing loop walks a store-only iterator instead of indexing a
-    # list parallel to every memory event.
-    drain = dl1_lat_ev[~res.is_load]
-    if res.ev_pos_l:
-        if res.stall_cache is not None:
-            stall_cache = res.stall_cache
-        else:
-            stall_cache = np.zeros(len(res.fetch_idx), dtype=np.int64)
-            stall_cache[res.il1_miss] = l2_hit + res.il1_l2miss * l2_fill
-            if len(res.itlb_miss):
-                stall_cache[res.itlb_pos[res.itlb_miss]] += (
-                    machine.itlb.miss_latency
-                )
-        ev_stall_arr = np.zeros(len(res.ev_pos_l), dtype=np.int64)
-        ev_stall_arr[res.stall_slot] = stall_cache[res.stall_ev]
-        ev_stall = ev_stall_arr.tolist()
-    else:
-        ev_stall = []
-    return ml.tolist(), drain.tolist(), ev_stall
+    ml, drain, ev_stall = assemble_timing_tables(
+        res, LatencyTable([machine.config])
+    )
+    return ml[0].tolist(), drain[0].tolist(), ev_stall[0].tolist()
 
 
 def assemble_timing_tables(res: RegionResolution, lat: LatencyTable):
     """All configs' timing feeds as int64 matrices, vectorized.
 
-    The batched counterpart of :func:`assemble_timing_feed`: every
-    latency application runs as one 2-D operation over the latency
-    table's leading ``n_configs`` axis.  Returns ``(ml, drain,
-    ev_stall)`` matrices whose row ``i`` is bit-identical to config
-    ``i``'s single-config feed; the data-parallel batch kernel consumes
-    the matrices directly, the sequential loop peels rows off via
-    :func:`assemble_timing_feeds`.
+    Applies each config's latencies to the resolution's miss sets:
+    memory completion latencies per mem event, write-buffer drains per
+    store, and the per-event stall magnitudes over the shared event
+    union.  Every latency application runs as one 2-D operation over
+    the latency table's leading ``n_configs`` axis.  Returns ``(ml,
+    drain, ev_stall)`` matrices whose row ``i`` is config ``i``'s feed;
+    the data-parallel batch kernel consumes the matrices directly, the
+    sequential loops peel rows off.  A serial (prefetch) resolution
+    already holds its one config's dl1 latencies and il1 stalls.
     """
     k = lat.n_configs
     n_mem = res.n_mem
     dtlb_extra = np.zeros((k, n_mem), dtype=np.int64)
     dtlb_extra[:, res.dtlb_miss] = lat.dtlb_miss[:, None]
-    dl1_lat_ev = np.broadcast_to(lat.dl1_hit[:, None], (k, n_mem)).copy()
-    if len(res.dl1_miss):
-        dl1_lat_ev[:, res.dl1_miss] += (
-            lat.l2_hit[:, None] + res.dl1_l2miss[None, :] * lat.l2_fill[:, None]
-        )
+    if res.dl1_lat_ev is not None:
+        dl1_lat_ev = res.dl1_lat_ev[None, :]
+    else:
+        dl1_lat_ev = np.broadcast_to(lat.dl1_hit[:, None], (k, n_mem)).copy()
+        if len(res.dl1_miss):
+            dl1_lat_ev[:, res.dl1_miss] += (
+                lat.l2_hit[:, None] + res.dl1_l2miss[None, :] * lat.l2_fill[:, None]
+            )
     ml = np.where(res.is_load[None, :], dl1_lat_ev + dtlb_extra, 1 + dtlb_extra)
+    # Write-buffer drain times are consumed by stores only, so the
+    # timing loop walks a store-only iterator instead of indexing a
+    # list parallel to every memory event.
     drain = dl1_lat_ev[:, ~res.is_load]
     if res.ev_pos_l:
-        stall_cache = np.zeros((k, len(res.fetch_idx)), dtype=np.int64)
-        stall_cache[:, res.il1_miss] = (
-            lat.l2_hit[:, None] + res.il1_l2miss[None, :] * lat.l2_fill[:, None]
-        )
+        if res.stall_cache is not None:
+            stall_cache = res.stall_cache[None, :].copy()
+        else:
+            stall_cache = np.zeros((k, len(res.fetch_idx)), dtype=np.int64)
+            stall_cache[:, res.il1_miss] = (
+                lat.l2_hit[:, None] + res.il1_l2miss[None, :] * lat.l2_fill[:, None]
+            )
         if len(res.itlb_miss):
             stall_cache[:, res.itlb_pos[res.itlb_miss]] += (
                 lat.itlb_miss[:, None]
@@ -619,16 +669,6 @@ def assemble_timing_tables(res: RegionResolution, lat: LatencyTable):
     else:
         ev_stall = np.zeros((k, 0), dtype=np.int64)
     return ml, drain, ev_stall
-
-
-def assemble_timing_feeds(res: RegionResolution, lat: LatencyTable):
-    """All configs' timing feeds as per-config lists.
-
-    Row ``i`` is bit-identical to what :func:`assemble_timing_feed`
-    produces for config ``i`` alone.
-    """
-    ml, drain, ev_stall = assemble_timing_tables(res, lat)
-    return ml.tolist(), drain.tolist(), ev_stall.tolist()
 
 
 def _run_timing_phase(
@@ -699,15 +739,11 @@ def advance_detailed(machine, trace, start, end, state) -> None:
     """Advance the detailed model over ``trace[start:end)`` (split-phase)."""
     if end - start <= 0:
         return
-    tc_enabled = machine.enhancements.trivial_computation
-    res = resolve_region(
-        machine, trace, start, end,
-        state.last_fetch_block, state.last_fetch_page,
-        count_trivial=tc_enabled,
-    )
+    res = resolve_detailed(machine, trace, start, end, state)
     ml_l, drain_l, ev_stall = assemble_timing_feed(machine, res)
     _run_timing_phase(
-        machine.config, trace, start, end, tc_enabled,
+        machine.config, trace, start, end,
+        machine.enhancements.trivial_computation,
         res, ml_l, drain_l, ev_stall, state,
     )
 
@@ -732,14 +768,11 @@ def advance_detailed_batch(machine, trace, start, end, batch, states) -> None:
             "next-line prefetch resolves serially (callers fall back "
             "to per-config runs)"
         )
-    lead = states[0]
-    res = resolve_region(
-        machine, trace, start, end,
-        lead.last_fetch_block, lead.last_fetch_page,
-        count_trivial=any(e.trivial_computation for _, e in batch),
-    )
+    res = resolve_detailed(machine, trace, start, end, states[0])
     lat = LatencyTable([config for config, _ in batch])
-    ml_rows, drain_rows, ev_stall_rows = assemble_timing_feeds(res, lat)
+    ml_rows, drain_rows, ev_stall_rows = (
+        table.tolist() for table in assemble_timing_tables(res, lat)
+    )
     # Compile every member's loop up front (deduplicated): a codegen
     # failure then surfaces before any per-config state has advanced,
     # leaving the whole batch cleanly retryable.
@@ -765,11 +798,11 @@ def run_sampled(machine, trace, units, checkpoint_key=None):
     warming between the units, a fresh ``detail()`` per unit): the cold
     prefix up to the first unit still goes through
     :func:`repro.cpu.functional.warm_prefix`, and every structure is
-    then resolved once from there to the end of the trace under the
-    per-segment rules (see :func:`_resolve_sampled`).  Each unit's
-    warm-detailed and measured slices then run the config's timing loop
-    on a fresh timing state, one row per unit; per-unit counters come
-    from ``searchsorted`` offsets into the one resolution.  Records one
+    then resolved once from there to the end of the trace by
+    :func:`resolve` over the unit schedule.  Each unit's warm-detailed
+    and measured slices then run the config's timing loop on a fresh
+    timing state, one row per unit; per-unit counters come from
+    ``searchsorted`` offsets into the one resolution.  Records one
     ``warming``, one ``warm_detailed`` and one ``detailed`` phase per
     pass, each with its summed instruction count.
     """
@@ -785,20 +818,22 @@ def run_sampled(machine, trace, units, checkpoint_key=None):
             warm_prefix(machine, trace, start, checkpoint_key=checkpoint_key)
         )
     end = len(trace)
-    ws, ss, an = (_int64(units) - start).T
+    schedule = _int64(units) - start
+    ws, ss, an = schedule.T
     n_warm = (end - start) - int((an - ws).sum())
     tc_enabled = machine.enhancements.trivial_computation
 
     with obs_phases.measured("warming", instructions=n_warm, backend=backend):
-        res, mem_pos, counters, gaps = _resolve_sampled(
-            machine, trace, start, end, ws, ss, an
-        )
+        res, counters, gaps = resolve(machine, trace, start, end, schedule)
         warming.merge(gaps)
         ml_l, drain_l, ev_stall = assemble_timing_feed(machine, res)
+    if not tc_enabled:
+        del counters["trivial_simplified"]
 
     cfg = machine.config
     run_timing = timing_loop_for(cfg)
     merge_ctrl = cfg.int_alu_lat == 1
+    mem_pos = res.mem_idx
     stores = mem_pos[~res.is_load]
     ev_pos = _int64(res.ev_pos_l)
 
@@ -854,174 +889,30 @@ def run_sampled(machine, trace, units, checkpoint_key=None):
     return parts, warming
 
 
-def _resolve_sampled(machine, trace, start, end, ws, ss, an):
-    """Resolve every structure over ``trace[start:end)`` for a schedule.
-
-    ``ws``/``ss``/``an`` are the region-relative unit bounds: ``[ws,
-    an)`` runs detailed and is measured from ``ss``, the gaps between
-    units warm functionally.  Honours the per-segment rules exactly:
-
-    * every segment (a warming gap or a unit) starts with a forced
-      fetch and ITLB event, since warming calls and each ``detail()``
-      start from "no previous fetch block";
-    * inside warming gaps memory ops are never branches;
-    * cache/TLB statistics and L2 memory counts advance only inside
-      units.
-
-    Returns the timing-facing :class:`RegionResolution` (events
-    restricted to the units), the memory ops' region-relative
-    positions, each unit's measured-slice counters as SimulationStats
-    field -> per-unit list, and the gaps' WarmingStats.
-    """
-    from repro.cpu.functional import WarmingStats
-
-    il1 = machine.il1
-    dl1 = machine.dl1
-    l2 = machine.l2
-    itlb = machine.itlb
-    dtlb = machine.dtlb
-    n = end - start
-    # Toggle at every unit start and end; a unit starting where the
-    # previous one ends toggles twice and stays detailed.
-    toggles = np.zeros(n + 1, dtype=bool)
-    toggles[ws] = True
-    toggles[an] ^= True
-    in_detail = np.logical_xor.accumulate(toggles[:n])
-    seg_starts = np.union1d(ws, an[an < n])
-
-    pc_r = trace.pc[start:end]
-    addr_r = trace.addr[start:end]
-    # The whole-trace memory feed, shared with full-trace runs.
-    mem_mask, mem_idx, is_load, _ = _mem_feed(trace, 0, end)
-    first_mem = int(np.searchsorted(mem_idx, start))
-    mem_mask = mem_mask[start:]
-    mem_idx = mem_idx[first_mem:] - start
-    is_load = is_load[first_mem:]
-
-    fb = trace.fetch_blocks(il1.block_shift)[start:end]
-    fetch_mask = _change_mask(fb, -1)
-    fetch_mask[seg_starts] = True
-    fetch_idx = np.flatnonzero(fetch_mask)
-    pgs = trace.pages()[start:end][fetch_idx]
-    page_mask = _change_mask(pgs, -1)
-    page_mask[np.searchsorted(fetch_idx, seg_starts)] = True
-    itlb_pos = np.flatnonzero(page_mask)
-
-    il1_miss = _structure_events(il1, fb[fetch_idx])
-    dl1_miss = _structure_events(
-        dl1, trace.data_blocks(dl1.block_shift)[start:end][mem_idx]
-    )
-    il1_g = fetch_idx[il1_miss]
-    dl1_g = mem_idx[dl1_miss]
-    il1_l2miss, dl1_l2miss = _resolve_l2(l2, pc_r, addr_r, il1_g, dl1_g)
-    itlb_miss = _structure_events(itlb, pgs[itlb_pos])
-    dtlb_miss = _structure_events(
-        dtlb, trace.data_pages()[start:end][mem_idx]
-    )
-
-    bk = trace.branch_kinds()[start:end].astype(np.int8)
-    bk[mem_mask & ~in_detail] = 0
-    feed = _build_branch_feed(trace, start, end, bk)
-    wrong = _resolve_branches(machine, trace, None, start, end, feed)
-
-    # Sorted region-relative positions of every counted event, keyed by
-    # the SimulationStats field that counts them (plus the ITLB lookups).
-    pos = {
-        "il1_accesses": fetch_idx,
-        "il1_misses": np.sort(il1_g),
-        "dl1_accesses": mem_idx,
-        "dl1_misses": np.sort(dl1_g),
-        "l2_accesses": np.sort(np.concatenate([il1_g, dl1_g])),
-        "l2_misses": np.sort(
-            np.concatenate([il1_g[il1_l2miss], dl1_g[dl1_l2miss]])
-        ),
-        "itlb_accesses": fetch_idx[itlb_pos],
-        "itlb_misses": np.sort(fetch_idx[itlb_pos[itlb_miss]]),
-        "dtlb_misses": np.sort(mem_idx[dtlb_miss]),
-        "loads": mem_idx[is_load],
-        "branches": np.flatnonzero(bk),
-        "mispredictions": np.flatnonzero(wrong),
-    }
-    if machine.enhancements.trivial_computation:
-        pos["trivial_simplified"] = np.flatnonzero(
-            (trace.trivial_bits()[start:end] != 0) & ~mem_mask
-        )
-
-    def in_units(name):
-        return int(np.count_nonzero(in_detail[pos[name]]))
-
-    def in_gaps(name):
-        return len(pos[name]) - in_units(name)
-
-    for structure, accesses, misses in (
-        (il1, "il1_accesses", "il1_misses"),
-        (dl1, "dl1_accesses", "dl1_misses"),
-        (l2, "l2_accesses", "l2_misses"),
-        (itlb, "itlb_accesses", "itlb_misses"),
-        (dtlb, "dl1_accesses", "dtlb_misses"),
-    ):
-        n_misses = in_units(misses)
-        structure.stats[STAT_HITS] += in_units(accesses) - n_misses
-        structure.stats[STAT_MISSES] += n_misses
-    l2.memory.stats[0] += in_units("l2_misses")
-    gaps = WarmingStats(
-        instructions=n - int(np.count_nonzero(in_detail)),
-        branches=in_gaps("branches"),
-        mispredictions=in_gaps("mispredictions"),
-        loads=in_gaps("loads"),
-        stores=in_gaps("dl1_accesses") - in_gaps("loads"),
-    )
-    del pos["itlb_accesses"]
-    counters = {
-        name: (np.searchsorted(events, an) - np.searchsorted(events, ss)).tolist()
-        for name, events in pos.items()
-    }
-    counters["stores"] = [
-        mem - load
-        for mem, load in zip(counters["dl1_accesses"], counters["loads"])
-    ]
-
-    # Timing events: fetch stalls (il1 miss fill or ITLB walk) and
-    # redirects, inside the units only.
-    stall_sel = np.zeros(len(fetch_idx), dtype=bool)
-    stall_sel[il1_miss] = True
-    stall_sel[itlb_pos[itlb_miss]] = True
-    stall_sel &= in_detail[fetch_idx]
-    res = RegionResolution()
-    res.n_mem = len(mem_idx)
-    res.is_load = is_load
-    res.fetch_idx = fetch_idx
-    res.il1_miss = il1_miss
-    res.il1_l2miss = il1_l2miss
-    res.itlb_pos = itlb_pos
-    res.itlb_miss = itlb_miss
-    res.dl1_miss = dl1_miss
-    res.dl1_l2miss = dl1_l2miss
-    res.dtlb_miss = dtlb_miss
-    res.stall_cache = None
-    res.dl1_lat_ev = None
-    res.stall_ev = np.flatnonzero(stall_sel)
-    _set_event_union(res, n, fetch_idx[res.stall_ev], wrong & in_detail)
-    return res, mem_idx, counters, gaps
-
-
-def _resolve_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx):
-    """Reference-order cache resolution (next-line prefetch enabled).
+def _caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx, in_detail):
+    """Reference-order cache walk (next-line prefetch enabled).
 
     Prefetching couples the dl1 with the L2 outside the per-structure
     event streams (a dl1 miss also warms ``block + 1`` through the
     shared L2), so the per-structure replay is no longer valid; fall
     back to walking the merged fetch/memory event stream through the
-    structures' reference access methods.  Still much faster than the
-    reference loop: only events are visited, not every instruction.
+    structures' reference methods: ``access`` inside units (which
+    counts the statistics), ``warm`` in the gaps.  Still much faster
+    than the reference loop: only events are visited, not every
+    instruction.  Returns each fetch event's il1 stall and each memory
+    op's dl1 latency, zero in the gaps.
     """
     il1 = machine.il1
     dl1 = machine.dl1
     il1_hit_latency = il1.hit_latency
     il1_access = il1.access
+    il1_warm = il1.warm
     dl1_access = dl1.access
+    dl1_warm = dl1.warm
     f_l = fetch_idx.tolist()
     m_l = mem_idx.tolist()
+    f_unit = in_detail[fetch_idx].tolist()
+    m_unit = in_detail[mem_idx].tolist()
     pc_ev = pc_r[fetch_idx].tolist()
     addr_ev = addr_r[mem_idx].tolist()
     nf = len(f_l)
@@ -1034,109 +925,35 @@ def _resolve_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx):
     next_m = m_l[0] if nm else _INF
     while fpos < nf or mpos < nm:
         if next_f <= next_m:  # fetch precedes execute at the same index
-            stall_cache[fpos] = il1_access(pc_ev[fpos]) - il1_hit_latency
+            if f_unit[fpos]:
+                stall_cache[fpos] = il1_access(pc_ev[fpos]) - il1_hit_latency
+            else:
+                il1_warm(pc_ev[fpos])
             fpos += 1
             next_f = f_l[fpos] if fpos < nf else _INF
         else:
-            dl1_lat[mpos] = dl1_access(addr_ev[mpos])
+            if m_unit[mpos]:
+                dl1_lat[mpos] = dl1_access(addr_ev[mpos])
+            else:
+                dl1_warm(addr_ev[mpos])
             mpos += 1
             next_m = m_l[mpos] if mpos < nm else _INF
     return _int64(stall_cache), _int64(dl1_lat)
 
 
-def _warm_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx) -> None:
-    """Reference-order cache warming (next-line prefetch enabled)."""
-    il1_warm = machine.il1.warm
-    dl1_warm = machine.dl1.warm
-    f_l = fetch_idx.tolist()
-    m_l = mem_idx.tolist()
-    pc_ev = pc_r[fetch_idx].tolist()
-    addr_ev = addr_r[mem_idx].tolist()
-    nf = len(f_l)
-    nm = len(m_l)
-    fpos = 0
-    mpos = 0
-    next_f = f_l[0] if nf else _INF
-    next_m = m_l[0] if nm else _INF
-    while fpos < nf or mpos < nm:
-        if next_f <= next_m:
-            il1_warm(pc_ev[fpos])
-            fpos += 1
-            next_f = f_l[fpos] if fpos < nf else _INF
-        else:
-            dl1_warm(addr_ev[mpos])
-            mpos += 1
-            next_m = m_l[mpos] if mpos < nm else _INF
-
-
 def run_warming(machine, trace, start, end):
     """Vectorized functional warming over ``trace[start:end)``.
 
-    The resolve phase with warm semantics: structures are trained on
-    the same event streams, cache/TLB statistics stay untouched, BTB
-    statistics and the WarmingStats counters are recorded exactly as
-    the reference loop does.
+    :func:`resolve` with no units: structures are trained on the same
+    event streams, cache/TLB statistics stay untouched, BTB statistics
+    and the WarmingStats counters are recorded exactly as the reference
+    loop does.
     """
     from repro.cpu.functional import WarmingStats
 
-    il1 = machine.il1
-    dl1 = machine.dl1
-    l2 = machine.l2
-    n = end - start
-    if n <= 0:
-        return WarmingStats(instructions=max(0, n))
-
-    pc_r = trace.pc[start:end]
-    addr_r = trace.addr[start:end]
-    mem_mask, mem_idx, is_load, n_loads = _mem_feed(trace, start, end)
-
+    if end - start <= 0:
+        return WarmingStats(instructions=max(0, end - start))
     # Warming always starts from a local "no previous block" state,
     # mirroring the reference loop's per-call locals.
-    fb = trace.fetch_blocks(il1.block_shift)[start:end]
-    pg = trace.pages()[start:end]
-    fetch_idx = trace.region_memo(
-        ("fetch", start, end, il1.block_shift),
-        lambda: np.flatnonzero(_change_mask(fb, -1)),
-    )
-    pgs = pg[fetch_idx]
-    pgc = _change_mask(pgs, -1)
-    itlb_pos = np.flatnonzero(pgc)
-
-    if machine.enhancements.next_line_prefetch:
-        _warm_caches_serial(machine, pc_r, addr_r, fetch_idx, mem_idx)
-    else:
-        il1_feed = trace.region_memo(
-            ("il1", start, end, il1.block_shift, il1.set_mask, il1.assoc, True),
-            lambda: _dedup_filter(fb[fetch_idx], il1.set_mask, il1.assoc),
-        )
-        il1_miss = _int64(_replay(il1, il1_feed))
-        dl1_feed = _cache_feed(
-            trace, "dl1", start, end,
-            lambda: trace.data_blocks(dl1.block_shift)[start:end][mem_idx],
-            dl1.set_mask, dl1.assoc,
-        )
-        dl1_miss = _int64(_replay(dl1, dl1_feed))
-
-        _resolve_l2(l2, pc_r, addr_r, fetch_idx[il1_miss], mem_idx[dl1_miss])
-
-    # TLB warming trains state without statistics.
-    _structure_events(machine.itlb, pgs[itlb_pos])
-    dtlb_feed = _cache_feed(
-        trace, "dtlb", start, end,
-        lambda: trace.data_pages()[start:end][mem_idx],
-        machine.dtlb.set_mask, machine.dtlb.assoc,
-    )
-    _replay(machine.dtlb, dtlb_feed)
-
-    # Branches: warming skips memory ops entirely (they cannot carry
-    # branch work in the reference loop's control flow).
-    feed = _branch_feed(trace, "branchw", start, end, mem_mask)
-    wrong = _resolve_branches(machine, trace, "branchw", start, end, feed)
-    n_mem = len(mem_idx)
-    return WarmingStats(
-        instructions=n,
-        branches=feed[0],
-        mispredictions=int(np.count_nonzero(wrong)),
-        loads=n_loads,
-        stores=n_mem - n_loads,
-    )
+    _, _, gaps = resolve(machine, trace, start, end, (), tag="branchw")
+    return gaps

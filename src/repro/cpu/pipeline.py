@@ -120,6 +120,43 @@ class _TimingState:
         self.trivial_simplified = 0
 
 
+#: Timing-state counters reported as deltas over a measured slice.
+_STATE_COUNTERS = (
+    "branches", "mispredictions", "loads", "stores", "trivial_simplified",
+)
+
+
+def _mark(state: _TimingState) -> tuple:
+    """``state``'s cycle count and counters where a measured slice starts."""
+    return (state.cc,) + tuple(getattr(state, name) for name in _STATE_COUNTERS)
+
+
+def _measured_stats(
+    instructions: int, state: _TimingState, mark: tuple, snapshot, after
+) -> SimulationStats:
+    """Statistics of a measured slice of ``instructions``.
+
+    Timing counters are ``state``'s deltas since :func:`_mark`; cache
+    and TLB counters are the deltas between the machine's
+    ``cache_snapshot`` before (``snapshot``) and ``after`` the slice.
+    """
+    stats = SimulationStats()
+    stats.instructions = instructions
+    stats.cycles = max(1, state.cc - mark[0])
+    for name, before in zip(_STATE_COUNTERS, mark[1:]):
+        setattr(stats, name, getattr(state, name) - before)
+    for level in ("il1", "dl1", "l2"):
+        hits, misses = f"{level}_hits", f"{level}_misses"
+        setattr(
+            stats, f"{level}_accesses",
+            (after[hits] + after[misses]) - (snapshot[hits] + snapshot[misses]),
+        )
+        setattr(stats, misses, after[misses] - snapshot[misses])
+    for name in ("itlb_misses", "dtlb_misses", "prefetches"):
+        setattr(stats, name, after[name] - snapshot[name])
+    return stats
+
+
 def run_detailed(
     machine: Machine,
     trace: Trace,
@@ -154,15 +191,8 @@ def run_detailed(
         ):
             advance(machine, trace, start, measure_from, state)
 
-    cycles_before = state.cc
+    mark = _mark(state)
     snapshot = machine.cache_snapshot()
-    counters_before = (
-        state.branches,
-        state.mispredictions,
-        state.loads,
-        state.stores,
-        state.trivial_simplified,
-    )
 
     if end > measure_from:
         with obs_phases.measured(
@@ -172,31 +202,9 @@ def run_detailed(
         ):
             advance(machine, trace, measure_from, end, state)
 
-    after = machine.cache_snapshot()
-    stats = SimulationStats()
-    stats.instructions = end - measure_from
-    stats.cycles = max(1, state.cc - cycles_before)
-    stats.branches = state.branches - counters_before[0]
-    stats.mispredictions = state.mispredictions - counters_before[1]
-    stats.loads = state.loads - counters_before[2]
-    stats.stores = state.stores - counters_before[3]
-    stats.trivial_simplified = state.trivial_simplified - counters_before[4]
-    stats.il1_accesses = (after["il1_hits"] + after["il1_misses"]) - (
-        snapshot["il1_hits"] + snapshot["il1_misses"]
+    return _measured_stats(
+        end - measure_from, state, mark, snapshot, machine.cache_snapshot()
     )
-    stats.il1_misses = after["il1_misses"] - snapshot["il1_misses"]
-    stats.dl1_accesses = (after["dl1_hits"] + after["dl1_misses"]) - (
-        snapshot["dl1_hits"] + snapshot["dl1_misses"]
-    )
-    stats.dl1_misses = after["dl1_misses"] - snapshot["dl1_misses"]
-    stats.l2_accesses = (after["l2_hits"] + after["l2_misses"]) - (
-        snapshot["l2_hits"] + snapshot["l2_misses"]
-    )
-    stats.l2_misses = after["l2_misses"] - snapshot["l2_misses"]
-    stats.itlb_misses = after["itlb_misses"] - snapshot["itlb_misses"]
-    stats.dtlb_misses = after["dtlb_misses"] - snapshot["dtlb_misses"]
-    stats.prefetches = after["prefetches"] - snapshot["prefetches"]
-    return stats
 
 
 def run_detailed_batch(
@@ -238,18 +246,8 @@ def run_detailed_batch(
         ):
             advance(machine, trace, start, measure_from, specs, states)
 
-    cycles_before = [state.cc for state in states]
+    marks = [_mark(state) for state in states]
     snapshot = machine.cache_snapshot()
-    counters_before = [
-        (
-            state.branches,
-            state.mispredictions,
-            state.loads,
-            state.stores,
-            state.trivial_simplified,
-        )
-        for state in states
-    ]
 
     if end > measure_from:
         with obs_phases.measured(
@@ -261,33 +259,10 @@ def run_detailed_batch(
             advance(machine, trace, measure_from, end, specs, states)
 
     after = machine.cache_snapshot()
-    results = []
-    for state, cc_before, before in zip(states, cycles_before, counters_before):
-        stats = SimulationStats()
-        stats.instructions = end - measure_from
-        stats.cycles = max(1, state.cc - cc_before)
-        stats.branches = state.branches - before[0]
-        stats.mispredictions = state.mispredictions - before[1]
-        stats.loads = state.loads - before[2]
-        stats.stores = state.stores - before[3]
-        stats.trivial_simplified = state.trivial_simplified - before[4]
-        stats.il1_accesses = (after["il1_hits"] + after["il1_misses"]) - (
-            snapshot["il1_hits"] + snapshot["il1_misses"]
-        )
-        stats.il1_misses = after["il1_misses"] - snapshot["il1_misses"]
-        stats.dl1_accesses = (after["dl1_hits"] + after["dl1_misses"]) - (
-            snapshot["dl1_hits"] + snapshot["dl1_misses"]
-        )
-        stats.dl1_misses = after["dl1_misses"] - snapshot["dl1_misses"]
-        stats.l2_accesses = (after["l2_hits"] + after["l2_misses"]) - (
-            snapshot["l2_hits"] + snapshot["l2_misses"]
-        )
-        stats.l2_misses = after["l2_misses"] - snapshot["l2_misses"]
-        stats.itlb_misses = after["itlb_misses"] - snapshot["itlb_misses"]
-        stats.dtlb_misses = after["dtlb_misses"] - snapshot["dtlb_misses"]
-        stats.prefetches = after["prefetches"] - snapshot["prefetches"]
-        results.append(stats)
-    return results
+    return [
+        _measured_stats(end - measure_from, state, mark, snapshot, after)
+        for state, mark in zip(states, marks)
+    ]
 
 
 def _run_region(

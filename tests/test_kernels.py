@@ -828,7 +828,10 @@ class TestSampledParity:
         """Generated traces never flag a memory op as a branch, but the
         model defines it: detailed simulation counts and resolves it as
         a branch, functional warming skips it.  A random raw trace
-        exercises both sides of every segment boundary."""
+        exercises both sides of every segment boundary: in sampled
+        schedules, in detailed regions whose detail warm-up continues
+        the fetch state (segments below and above ``SMALL_REGION``), and
+        in functional warming alone."""
         rng = np.random.default_rng(seed)
         length = 3000
         random_trace = Trace(
@@ -855,6 +858,35 @@ class TestSampledParity:
                     backend, random_trace, ProcessorConfig(), enhancements, units
                 )
                 assert got == expected
+
+        def detailed(backend, start, measure_from, end):
+            machine = Machine(
+                ProcessorConfig(), Enhancements(trivial_computation=True),
+                backend=backend,
+            )
+            stats = run_detailed(
+                machine, random_trace, start, end, measure_from=measure_from
+            )
+            return stats, machine.cache_snapshot(), snapshot_machine(machine)
+
+        def warmed(backend, start, end):
+            machine = Machine(ProcessorConfig(), backend=backend)
+            warming = run_functional_warming(machine, random_trace, start, end)
+            return warming, machine.cache_snapshot(), snapshot_machine(machine)
+
+        # (warm-up, measured) segment lengths: both long, short then
+        # long, long then short.
+        for start, measure_from, end in (
+            (0, 1500, 3000), (100, 600, 2900), (0, 2000, 2600),
+        ):
+            expected = detailed(PythonBackend(), start, measure_from, end)
+            assert expected[0].branches > 0
+            for backend in ARRAY_BACKENDS:
+                assert detailed(backend, start, measure_from, end) == expected
+        for start, end in ((0, length), (250, 2750)):
+            expected = warmed(PythonBackend(), start, end)
+            for backend in ARRAY_BACKENDS:
+                assert warmed(backend, start, end) == expected
 
     def test_checkpointed_prefix(self, trace, tmp_path):
         from repro.cpu import checkpoint
